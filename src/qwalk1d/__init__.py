@@ -28,10 +28,13 @@ from .direct import (
 )
 from .foundation import (
     FoundationTable,
+    LatticeRows,
     PolynomialRow,
     chebyshev_u,
     foundation_polynomial,
     foundation_table,
+    iter_lattice_rows,
+    lattice_rows,
     polynomial_row_recursion,
     polynomial_table,
     u_by_quadrature,
@@ -89,6 +92,7 @@ __all__ = [
     "FoundationTable",
     "InfeasibleParamsError",
     "LatticeIndex",
+    "LatticeRows",
     "MomentReport",
     "MomentumWavefunction",
     "NormalizationError",
@@ -114,6 +118,8 @@ __all__ = [
     "foundation_polynomial",
     "foundation_table",
     "half_trace",
+    "iter_lattice_rows",
+    "lattice_rows",
     "max_alpha",
     "moment_from_density",
     "moment_report",

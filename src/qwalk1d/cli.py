@@ -25,7 +25,7 @@ from .density import total_density
 from .direct import evolve_direct
 from .closedform import position_wavefunction
 from .estimate import EmpiricalHistogram, fit_walk
-from .foundation import foundation_polynomial, foundation_table
+from .foundation import foundation_polynomial, iter_lattice_rows
 from .moments import moment_report, normalized_second, variance
 from .params import (
     AliasingError,
@@ -152,11 +152,13 @@ def cmd_density(args: argparse.Namespace) -> int:
 def cmd_moments(args: argparse.Namespace) -> int:
     spec = resolve_spec(args)
     eff = derive_effective(spec)
-    times = range(1, args.t + 1) if args.all_times else [args.t]
-    table = foundation_table(eff.abs_a, max(args.t, 1))
+    if args.all_times:
+        reports = (moment_report(eff, rows.t_max, table=rows)
+                   for rows in iter_lattice_rows(eff.abs_a, args.t))
+    else:
+        reports = [moment_report(eff, args.t)]
     lines = ["t,abs_a,nu,alpha,mean,second,variance,normalized_second"]
-    for t in times:
-        rep = moment_report(eff, t, table=table)
+    for rep in reports:
         lines.append(
             f"{rep.t},{fmt(rep.abs_a)},{fmt(rep.nu)},{fmt(rep.alpha)},"
             f"{fmt(rep.mean)},{fmt(rep.second)},{fmt(rep.variance)},"
@@ -179,7 +181,10 @@ def cmd_poly(args: argparse.Namespace) -> int:
         payload["at"] = args.at
     if args.exact_at is not None:
         num, _, den = args.exact_at.partition("/")
-        value = row.evaluate(Fraction(int(num), int(den or "1")))
+        denominator = int(den or "1")
+        if denominator == 0:
+            raise ValueError(f"--exact-at {args.exact_at}: zero denominator")
+        value = row.evaluate(Fraction(int(num), denominator))
         payload["exact_value"] = str(value)
         payload["exact_at"] = args.exact_at
     write_output(json.dumps(payload, indent=2) + "\n", args.output)
@@ -241,23 +246,20 @@ def _workers() -> int:
 
 def _moment_sweep_job(job: tuple[float, int, float, float]) -> list[str]:
     abs_a, t_max, nu, alpha = job
-    table = foundation_table(abs_a, t_max)
-    rows = []
-    for t in range(1, t_max + 1):
-        rows.append(
-            f"{t},{fmt(abs_a)},{fmt(normalized_second(abs_a, t, table=table))}"
-        )
-    return rows
+    return [
+        f"{rows.t_max},{fmt(abs_a)},{fmt(normalized_second(abs_a, rows.t_max, table=rows))}"
+        for rows in iter_lattice_rows(abs_a, t_max)
+    ]
 
 
 def _variance_sweep_job(job: tuple[float, int, float, float]) -> list[str]:
     abs_a, t_max, nu, alpha = job
-    table = foundation_table(abs_a, t_max)
-    rows = []
-    for t in range(1, t_max + 1):
-        v = variance(abs_a, nu, alpha, t, table=table)
-        rows.append(f"{t},{fmt(abs_a)},{fmt(nu)},{fmt(alpha)},{fmt(v / (t * t))}")
-    return rows
+    out = []
+    for rows in iter_lattice_rows(abs_a, t_max):
+        t = rows.t_max
+        v = variance(abs_a, nu, alpha, t, table=rows)
+        out.append(f"{t},{fmt(abs_a)},{fmt(nu)},{fmt(alpha)},{fmt(v / (t * t))}")
+    return out
 
 
 def _run_jobs(fn, jobs: list) -> list[list[str]]:

@@ -7,8 +7,9 @@ to a two-term Chebyshev combination instead of a matrix product chain:
     y = |a| cos(p - d),  d = arg a.
 
 Inverse Fourier transforming term by term turns this into position-space
-amplitudes built from the foundation table, with every x- and t-dependent
-phase collected in the single prefactor e^{i(x d + t k)}.
+amplitudes built from the lattice rows u_t and u_{t-1} (by default the
+FFT window of ``foundation.lattice_rows``), with every x- and
+t-dependent phase collected in the single prefactor e^{i(x d + t k)}.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .direct import MomentumWavefunction, WaveField
-from .foundation import FoundationTable, chebyshev_u, foundation_table
+from .foundation import FoundationTable, chebyshev_u, rows_for
 from .params import AliasingError, WalkSpec, derive_effective
 
 
@@ -121,17 +122,14 @@ def position_wavefunction(
     psi0(x) = e^{i(xd + tk)} [ c0 f_t(x) + beta c1 u_{t-1}(x - 1) ]
     psi1(x) = e^{i(xd + tk)} [ c1 f_t(-x) - conj(beta) c0 u_{t-1}(-x - 1) ]
 
-    where beta = b e^{-i d} strips the coin phase out of b. Cost is the
-    O(t^2) table build; a prebuilt table (t_max >= t) can be passed in
-    when sweeping many times at fixed |a|.
+    where beta = b e^{-i d} strips the coin phase out of b. The rows come
+    from ``rows_for``: the O(t log t) FFT window, or a prebuilt table or
+    window passed as ``table``.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     eff = derive_effective(spec)
-    if table is None:
-        table = foundation_table(eff.abs_a, max(t, 1))
-    elif table.t_max < t or abs(table.abs_a - eff.abs_a) > 1e-15:
-        raise ValueError("prebuilt table does not cover this spec and time")
+    table = rows_for(eff.abs_a, t, table)
     x = np.arange(-t, t + 1)
     f_pos = shifted_foundation(table, t, x)
     f_neg = f_pos[::-1].copy()

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .foundation import FoundationTable, foundation_table
+from .foundation import FoundationTable, lattice_rows, rows_for
 from .params import (
     EffectiveParams,
     InfeasibleParamsError,
@@ -59,14 +59,6 @@ class DensityProfile:
         return float(np.sum(self.rho))
 
 
-def _require_table(abs_a: float, t: int, table: FoundationTable | None) -> FoundationTable:
-    if table is None:
-        return foundation_table(abs_a, max(t, 1))
-    if table.t_max < t or abs(table.abs_a - abs_a) > 1e-15:
-        raise ValueError("prebuilt table does not cover this |a| and time")
-    return table
-
-
 def _component_arrays(
     abs_a: float, nu: float, alpha: float, t: int, table: FoundationTable
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -95,8 +87,7 @@ def component_densities(spec: WalkSpec, t: int) -> tuple[np.ndarray, np.ndarray]
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     eff = derive_effective(spec)
-    table = foundation_table(eff.abs_a, max(t, 1))
-    return _component_arrays(eff.abs_a, eff.nu, eff.alpha, t, table)
+    return _component_arrays(eff.abs_a, eff.nu, eff.alpha, t, lattice_rows(eff.abs_a, t))
 
 
 def even_density(
@@ -105,7 +96,7 @@ def even_density(
     """The |a|-only even part of the density, over x in [-t, t]."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    table = _require_table(abs_a, t, table)
+    table = rows_for(abs_a, t, table)
     x = np.arange(-t, t + 1)
     u_left = table.row_on(t - 1, x, shift=-1)
     u_right = table.row_on(t - 1, x, shift=1)
@@ -119,7 +110,7 @@ def odd_components(
     """The two odd basis shapes (rho_sq, rho_mi) over x in [-t, t]."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    table = _require_table(abs_a, t, table)
+    table = rows_for(abs_a, t, table)
     x = np.arange(-t, t + 1)
     u_left = table.row_on(t - 1, x, shift=-1)
     u_right = table.row_on(t - 1, x, shift=1)
@@ -173,7 +164,7 @@ def total_density(
             rho=one, rho0=np.array([0.5 + nu]), rho1=np.array([0.5 - nu]),
             rho_even=one.copy(), rho_odd=zero, rho_mi=zero.copy(), rho_sq=zero.copy(),
         )
-    table = _require_table(abs_a, t, table)
+    table = rows_for(abs_a, t, table)
     rho0, rho1 = _component_arrays(abs_a, nu, alpha, t, table)
     rho_even = even_density(abs_a, t, table)
     rho_sq, rho_mi = odd_components(abs_a, t, table)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityProfile, even_density, odd_components
-from .foundation import foundation_table
+from .foundation import lattice_rows
 from .params import UnderdeterminedError, max_alpha, validate_effective
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -159,9 +159,9 @@ def fit_symmetry_params(
     t = hist.t
     p = hist.probabilities()
     w = (1.0 / np.maximum(hist.counts, 1.0)) if weighting == "poisson" else np.ones_like(p)
-    table = foundation_table(abs_a, t)
-    r = p - even_density(abs_a, t, table)
-    rho_sq, rho_mi = odd_components(abs_a, t, table)
+    rows = lattice_rows(abs_a, t)
+    r = p - even_density(abs_a, t, rows)
+    rho_sq, rho_mi = odd_components(abs_a, t, rows)
     b_nu = 2.0 * abs_a * rho_mi - rho_sq
     b_al = rho_mi
     informative = int(np.sum((b_nu != 0.0) | (b_al != 0.0)))

@@ -8,9 +8,16 @@ the Fourier coefficients of U_t(|a| cos p). They satisfy the coupled
 recursion u_{t+1}(x) = |a| u_t(x+1) + |a| u_t(x-1) - u_{t-1}(x) with
 u_{-1} = 0 and u_0 = delta_{x,0}, vanish off the parity sublattice
 (|x| <= t, x == t mod 2), and on that sublattice are polynomials in |a|
-with integer coefficients. Three independent routes to the same numbers
-live here: the table recursion (float), the explicit integer power
-series, and direct quadrature.
+with integer coefficients.
+
+Every closed form needs at most the three rows u_{t-2}, u_{t-1}, u_t at
+one time t. ``lattice_rows`` computes them in O(t log t) time and O(t)
+memory by sampling U_t(|a| cos p) and inverting with one real FFT; it
+is the default route, handed out by ``rows_for``. ``iter_lattice_rows``
+streams the same windows for every t by the recursion, for callers that
+sweep all times. Three independent routes check the kernel: the full
+O(t^2) table recursion (float), the explicit integer power series, and
+direct quadrature.
 """
 
 from __future__ import annotations
@@ -19,13 +26,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .params import ResourceLimitError
 
-# Exact coefficient rows above this t are refused; the float table stays
+# Exact coefficient rows above this t are refused; the float rows stay
 # available at any t. Protects against accidental huge exact requests,
 # not against overflow (Python integers are unbounded).
 MAX_EXACT_T = 10_000
@@ -52,6 +59,11 @@ def chebyshev_u(n: int, y):
     if np.isscalar(y) or getattr(y, "ndim", 0) == 0:
         return float(cur)
     return cur
+
+
+def _check_abs_a(abs_a: float) -> None:
+    if not 0.0 <= abs_a <= 1.0:
+        raise ValueError(f"abs_a must lie in [0, 1], got {abs_a}")
 
 
 @dataclass(frozen=True)
@@ -92,15 +104,130 @@ class FoundationTable:
             raise ValueError("requested sites fall outside the padded window")
         return self.row(s)[idx]
 
+    def covers(self, t: int) -> bool:
+        """True if every row a closed form at time t reads is in the table."""
+        return 0 <= t <= self.t_max
+
+
+class LatticeRows(FoundationTable):
+    """Rows u_{t-2}, u_{t-1}, u_t at the single time t = ``t_max``.
+
+    ``values[s - t + 2]`` holds row s over x in [-half, half], half >= t + 1.
+    """
+
+    def row(self, s: int) -> np.ndarray:
+        i = s - self.t_max + 2
+        if not 0 <= i <= 2:
+            raise ValueError(f"row {s} not in the window at t = {self.t_max}")
+        return self.values[i]
+
+    def covers(self, t: int) -> bool:
+        return t == self.t_max
+
+
+def _recursion_step(out: np.ndarray, mid: np.ndarray, other: np.ndarray, abs_a: float) -> None:
+    """out += |a| mid(x+1) + |a| mid(x-1) - other, in the table's operation order."""
+    out[:-1] += abs_a * mid[1:]
+    out[1:] += abs_a * mid[:-1]
+    out -= other
+
+
+def _fourier_rows(abs_a: float, t: int) -> np.ndarray:
+    """u_t and u_{t-1} on [-(t+1), t+1] by one batched real FFT, 0 < |a| < 1.
+
+    Samples U_n(y) = sin((n+1) phi) / sin(phi), y = cos(phi) = |a| cos p,
+    on p in [0, pi/2] and extends to the period by U_n(-y) = (-1)^n U_n(y)
+    and evenness. phi comes from 1 -+ y = (1 - |a|) + 2|a| sin^2 or
+    cos^2(p/2), sums of positive terms, so it stays accurate where sin(phi)
+    is tiny (|a| near 1). The 4m >= 2t + 4 point grid makes the trapezoid
+    rule exact; m has four significant bits, so the FFT length factors
+    into small primes.
+    """
+    need = (t + 3) // 2
+    shift = max(need.bit_length() - 4, 0)
+    m = -(-need >> shift) << shift
+    q = (0.5 * np.pi / m) * np.arange(m + 1)
+    lo = np.sqrt((1.0 - abs_a) + 2.0 * abs_a * np.sin(0.5 * q) ** 2)
+    hi = np.sqrt((1.0 - abs_a) + 2.0 * abs_a * np.cos(0.5 * q) ** 2)
+    vals = np.sin(np.array([[t + 1.0], [float(t)]]) * 2.0 * np.arctan2(lo, hi)) / (lo * hi)
+    sign = np.array([[(-1.0) ** t], [(-1.0) ** (t - 1)]])
+    half_period = np.concatenate([vals, sign * vals[:, m - 1::-1]], axis=1)
+    period = np.concatenate([half_period, half_period[:, -2:0:-1]], axis=1)
+    coef = np.fft.rfft(period, axis=1).real[:, : t + 2] / (4 * m)
+    return np.concatenate([coef[:, :0:-1], coef], axis=1)
+
+
+def lattice_rows(abs_a: float, t: int) -> LatticeRows:
+    """u_{t-2}, u_{t-1}, u_t on [-(t+1), t+1] in O(t log t) time, O(t) memory.
+
+    u_t and u_{t-1} come from ``_fourier_rows`` (a few 1e-14 absolute at
+    t = 4000), zeroed off their support; u_{t-2} from one recursion step,
+    so identities resting on the recursion hold site by site. The
+    endpoint coins get their exact integer rows (u_s = 1 on the support at
+    |a| = 1, cos(s pi/2) delta_{x,0} at |a| = 0): results there, such as
+    the ballistic variance 0 or the fit's blindness at |a| = 0, rest on
+    exact cancellation.
+    """
+    _check_abs_a(abs_a)
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    if abs_a == 1.0:
+        sym = np.ones((2, 2 * t + 3))
+    elif abs_a == 0.0:
+        sym = np.zeros((2, 2 * t + 3))
+        sym[:, t + 1] = [(1, 0, -1, 0)[t % 4], (1, 0, -1, 0)[(t - 1) % 4]]
+    else:
+        sym = _fourier_rows(abs_a, t)
+    values = np.zeros((3, 2 * t + 3))
+    values[2, 1::2] = sym[0, 1::2]
+    values[1, 2:-2:2] = sym[1, 2:-2:2]
+    _recursion_step(values[0], values[1], values[2], abs_a)
+    values.flags.writeable = False
+    return LatticeRows(abs_a=float(abs_a), t_max=t, values=values)
+
+
+def iter_lattice_rows(abs_a: float, t_max: int) -> Iterator[LatticeRows]:
+    """Windows for t = 1 .. t_max by the recursion, in O(t_max) memory.
+
+    Each equals the rows of ``foundation_table(abs_a, t_max)`` bit for bit.
+    Rows are computed in read-only blocks of about 2^16 values, and the
+    windows are views into them, which keeps the per-t cost at one step.
+    """
+    _check_abs_a(abs_a)
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    width = 2 * t_max + 3
+    below, mid = np.zeros(width), np.zeros(width)
+    mid[t_max + 1] = 1.0
+    step = max(1, (1 << 16) // width)
+    for first in range(1, t_max + 1, step):
+        values = np.zeros((min(step, t_max + 1 - first) + 2, width))
+        values[0], values[1] = below, mid
+        for i in range(2, len(values)):
+            _recursion_step(values[i], values[i - 1], values[i - 2], abs_a)
+        values.flags.writeable = False
+        for i in range(len(values) - 2):
+            yield LatticeRows(abs_a=float(abs_a), t_max=first + i, values=values[i : i + 3])
+        below, mid = values[-2], values[-1]
+
+
+def rows_for(abs_a: float, t: int, table: FoundationTable | None = None) -> FoundationTable:
+    """The rows at (|a|, t): ``table`` once checked to cover them, else the kernel."""
+    if table is None:
+        return lattice_rows(abs_a, t)
+    if abs(table.abs_a - abs_a) > 1e-15 or not table.covers(t):
+        raise ValueError(f"prebuilt rows do not cover |a| = {abs_a}, t = {t}")
+    return table
+
 
 def foundation_table(abs_a: float, t_max: int, pad: int = 1) -> FoundationTable:
     """Build u_s for all s <= t_max by the lattice recursion, O(t_max^2).
 
     Seeds u_{-1} = 0 and u_0 = delta_{x,0}, then applies
     u_{s}(x) = |a| u_{s-1}(x+1) + |a| u_{s-1}(x-1) - u_{s-2}(x).
+    The independent float reference for ``lattice_rows``.
     """
-    if not 0.0 <= abs_a <= 1.0:
-        raise ValueError(f"abs_a must lie in [0, 1], got {abs_a}")
+    _check_abs_a(abs_a)
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     if pad < 1:
@@ -110,11 +237,7 @@ def foundation_table(abs_a: float, t_max: int, pad: int = 1) -> FoundationTable:
     values = np.zeros((t_max + 2, width))
     values[1, half] = 1.0
     for s in range(1, t_max + 1):
-        prev = values[s]
-        row = values[s + 1]
-        row[:-1] += abs_a * prev[1:]
-        row[1:] += abs_a * prev[:-1]
-        row -= values[s - 1]
+        _recursion_step(values[s + 1], values[s], values[s - 1], abs_a)
     values.flags.writeable = False
     return FoundationTable(abs_a=float(abs_a), t_max=t_max, values=values)
 
@@ -176,7 +299,7 @@ def foundation_polynomial(t: int, k: int) -> PolynomialRow:
     if t > MAX_EXACT_T:
         raise ResourceLimitError(
             f"exact coefficients refused for t = {t} > {MAX_EXACT_T}; "
-            f"use foundation_table for large t"
+            f"use lattice_rows for large t"
         )
     j = (t - abs(k)) // 2
     coeffs = tuple(
@@ -243,7 +366,7 @@ def polynomial_table(t_max: int) -> tuple[tuple[PolynomialRow, ...], ...]:
     if t_max > MAX_EXACT_T:
         raise ResourceLimitError(
             f"exact table refused for t_max = {t_max} > {MAX_EXACT_T}; "
-            f"use foundation_table for large t"
+            f"use lattice_rows for large t"
         )
     tables = [(PolynomialRow(t=0, k=0, coeffs=(1,)),)]
     if t_max >= 1:
@@ -264,8 +387,7 @@ def u_by_quadrature(abs_a: float, t: int, x: int, n_points: int | None = None) -
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    if not 0.0 <= abs_a <= 1.0:
-        raise ValueError(f"abs_a must lie in [0, 1], got {abs_a}")
+    _check_abs_a(abs_a)
     if n_points is None:
         n_points = 4 * t + 4
     if n_points < 1:

@@ -11,8 +11,10 @@ with S[.] a lattice sum and
     S_mi = sum_j P^t_{t-2j} P^{t-1}_{t-2j-1} (t-2j)^{2n+1}
     S_sq = sum_j [P^{t-1}_{t-2j-1}]^2 (t-2j)^{2n+1}.
 
-Float paths run on foundation tables; an exact path (Fraction arithmetic
-over integer coefficient rows) backs the identity tests at small t. The
+Float paths read the three rows u_{t-2}, u_{t-1}, u_t once per call from
+``foundation.rows_for``: the O(t log t) FFT window unless a prebuilt
+table or window is passed. An exact path (Fraction arithmetic over
+integer coefficient rows) backs the identity tests at small t. The
 odd-moment coefficient signs follow the same oracle-fixed convention as
 the densities; the published variant (alpha subtracted) sits behind
 ``paper_signs=True``.
@@ -26,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .density import DensityProfile
-from .foundation import FoundationTable, foundation_table, polynomial_table
+from .foundation import FoundationTable, polynomial_table, rows_for
 from .params import (
     EffectiveParams,
     InfeasibleParamsError,
@@ -58,10 +60,8 @@ def moment_from_density(profile: DensityProfile, n: int) -> float:
     return float(np.sum(x**n * profile.rho))
 
 
-def _sum_rows(abs_a: float, t: int, table: FoundationTable | None, weight_power: int):
+def _sum_rows(table: FoundationTable, t: int, weight_power: int):
     """(S[x^p u_{t-1}^2], S[x^p u_t u_{t-2}]) for p = weight_power."""
-    if table is None:
-        table = foundation_table(abs_a, max(t, 1))
     x = np.arange(-t, t + 1)
     w = x.astype(float) ** weight_power if weight_power else np.ones_like(x, dtype=float)
     u_mid = table.row_on(t - 1, x)
@@ -76,7 +76,7 @@ def normalization_identity(
     """|S[u_{t-1}^2] - S[u_t u_{t-2}] - 1|, which vanishes identically."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    sq, cross = _sum_rows(abs_a, t, table, weight_power=0)
+    sq, cross = _sum_rows(rows_for(abs_a, t, table), t, weight_power=0)
     return abs(sq - cross - 1.0)
 
 
@@ -109,8 +109,9 @@ def second_moment(abs_a: float, t: int, table: FoundationTable | None = None) ->
     """<x^2> at time t; a function of |a| alone."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    sq2, cross2 = _sum_rows(abs_a, t, table, weight_power=2)
-    sq0, _ = _sum_rows(abs_a, t, table, weight_power=0)
+    table = rows_for(abs_a, t, table)
+    sq2, cross2 = _sum_rows(table, t, weight_power=2)
+    sq0, _ = _sum_rows(table, t, weight_power=0)
     return sq2 - cross2 + sq0
 
 
@@ -139,10 +140,8 @@ def second_moment_exact(abs_a: Fraction, t: int) -> Fraction:
     return total
 
 
-def _odd_sums(abs_a: float, t: int, n: int, table: FoundationTable | None):
-    """(S_sq, S_mi) evaluated on the float foundation table."""
-    if table is None:
-        table = foundation_table(abs_a, max(t, 1))
+def _odd_sums(table: FoundationTable, t: int, n: int):
+    """(S_sq, S_mi) evaluated on the float lattice rows."""
     x = np.arange(-t, t + 1)
     w = x.astype(float) ** (2 * n + 1)
     u_top = table.row_on(t, x)
@@ -174,7 +173,7 @@ def odd_moment(
         raise InfeasibleParamsError(
             f"(nu={nu}, alpha={alpha}, abs_a={abs_a}) is not reachable"
         )
-    s_sq, s_mi = _odd_sums(abs_a, t, n, table)
+    s_sq, s_mi = _odd_sums(rows_for(abs_a, t, table), t, n)
     alpha_sign = -1.0 if paper_signs else 1.0
     return (4.0 * abs_a * nu + 2.0 * alpha_sign * alpha) * s_mi - 2.0 * nu * s_sq
 
@@ -222,6 +221,7 @@ def variance(
     table: FoundationTable | None = None,
 ) -> float:
     """Var = <x^2> - <x>^2 at time t."""
+    table = rows_for(abs_a, t, table)
     mean = first_moment(abs_a, nu, alpha, t, table=table)
     return second_moment(abs_a, t, table=table) - mean * mean
 
@@ -241,8 +241,7 @@ def moment_report(
     if t == 0:
         return MomentReport(t=0, abs_a=abs_a, nu=nu, alpha=alpha,
                             mean=0.0, second=0.0, variance=0.0, normalized_second=0.0)
-    if table is None:
-        table = foundation_table(abs_a, max(t, 1))
+    table = rows_for(abs_a, t, table)
     mean = first_moment(abs_a, nu, alpha, t, table=table)
     second = second_moment(abs_a, t, table=table)
     return MomentReport(

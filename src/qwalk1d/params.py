@@ -48,6 +48,12 @@ class UnderdeterminedError(ValueError):
     """Not enough informative data to determine the requested fit."""
 
 
+def _require_finite(**values: complex) -> None:
+    bad = ", ".join(f"{k} = {v!r}" for k, v in values.items() if not cmath.isfinite(v))
+    if bad:
+        raise ValueError(f"walk parameters must be finite: {bad}")
+
+
 @dataclass(frozen=True)
 class WalkSpec:
     """Full physical parameterization of a coined walk on the line.
@@ -69,7 +75,8 @@ class WalkSpec:
         return abs(abs(self.c0) ** 2 + abs(self.c1) ** 2 - 1.0)
 
     def validate(self, tol: float = NORM_TOL) -> "WalkSpec":
-        """Return self if normalized within ``tol``, else raise."""
+        """Return self if finite and normalized within ``tol``, else raise."""
+        _require_finite(a=self.a, b=self.b, k=self.k, c0=self.c0, c1=self.c1)
         if self.coin_norm_defect() > tol:
             raise NormalizationError(
                 f"coin not normalized: |a|^2 + |b|^2 - 1 = "
@@ -155,6 +162,9 @@ class WalkSpec:
         raw = json.loads(text)
         a_abs = float(raw["a_abs"])
         c0_abs = float(raw["c0_abs"])
+        phases = {key: float(raw.get(key, 0.0))
+                  for key in ("a_arg", "b_arg", "k", "c0_arg", "c1_arg")}
+        _require_finite(a_abs=a_abs, c0_abs=c0_abs, **phases)
         if not 0.0 <= a_abs <= 1.0:
             raise NormalizationError(f"a_abs = {a_abs} outside [0, 1]")
         if not 0.0 <= c0_abs <= 1.0:
@@ -162,11 +172,11 @@ class WalkSpec:
         b_abs = math.sqrt(max(0.0, 1.0 - a_abs * a_abs))
         c1_abs = math.sqrt(max(0.0, 1.0 - c0_abs * c0_abs))
         return cls(
-            a=a_abs * cmath.exp(1j * float(raw.get("a_arg", 0.0))),
-            b=b_abs * cmath.exp(1j * float(raw.get("b_arg", 0.0))),
-            k=float(raw.get("k", 0.0)),
-            c0=c0_abs * cmath.exp(1j * float(raw.get("c0_arg", 0.0))),
-            c1=c1_abs * cmath.exp(1j * float(raw.get("c1_arg", 0.0))),
+            a=a_abs * cmath.exp(1j * phases["a_arg"]),
+            b=b_abs * cmath.exp(1j * phases["b_arg"]),
+            k=phases["k"],
+            c0=c0_abs * cmath.exp(1j * phases["c0_arg"]),
+            c1=c1_abs * cmath.exp(1j * phases["c1_arg"]),
         )
 
     @classmethod

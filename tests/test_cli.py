@@ -298,6 +298,20 @@ class TestExitCodes:
         assert code == 3
         assert "error" in err
 
+    def test_non_finite_phase(self, capsys):
+        code, out, err = run_cli(capsys, ["evolve", "--hadamard", "--t", "3", "--k", "nan"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_zero_denominator(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["poly", "--t", "4", "--k", "0", "--exact-at", "1/0"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_infeasible_symmetry_triple(self, capsys):
         code, _, err = run_cli(
             capsys,

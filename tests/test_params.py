@@ -1,6 +1,7 @@
 """Walk-spec validation, effective parameters, and their feasible region."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -66,6 +67,25 @@ class TestWalkSpec:
     def test_from_json_rejects_out_of_range(self):
         with pytest.raises(NormalizationError):
             WalkSpec.from_json('{"a_abs": 1.5, "c0_abs": 1.0}')
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["a", "b", "k", "c0", "c1"])
+    def test_validate_rejects_non_finite(self, field, value):
+        # NaN compares false, so the norm checks alone let it through
+        fields = dict(a=0.6, b=0.8, k=0.0, c0=1.0, c1=0.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            WalkSpec(**fields).validate()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "field", ["a_abs", "c0_abs", "a_arg", "b_arg", "k", "c0_arg", "c1_arg"]
+    )
+    def test_from_json_rejects_non_finite(self, field, value):
+        raw = {"a_abs": 0.6, "c0_abs": 1.0}
+        text = json.dumps(raw)[:-1] + f', "{field}": {value}}}'
+        with pytest.raises(ValueError, match="finite"):
+            WalkSpec.from_json(text)
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "spec.json"
