@@ -59,6 +59,7 @@ from .moments import (
     MomentReport,
     first_moment,
     first_moment_exact,
+    moment_curves,
     moment_from_density,
     moment_report,
     normalization_identity,
@@ -121,6 +122,7 @@ __all__ = [
     "iter_lattice_rows",
     "lattice_rows",
     "max_alpha",
+    "moment_curves",
     "moment_from_density",
     "moment_report",
     "momentum_wavefunction",

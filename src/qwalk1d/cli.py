@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,8 +23,8 @@ from .density import total_density
 from .direct import evolve_direct
 from .closedform import position_wavefunction
 from .estimate import EmpiricalHistogram, fit_walk
-from .foundation import foundation_polynomial, iter_lattice_rows
-from .moments import moment_report, normalized_second, variance
+from .foundation import foundation_polynomial
+from .moments import moment_curves, moment_report
 from .params import (
     AliasingError,
     InfeasibleParamsError,
@@ -37,8 +35,6 @@ from .params import (
     derive_effective,
 )
 from .verify import DEFAULT_N_SPECS, DEFAULT_SEED, DEFAULT_T_MAX, run_verification
-
-WORKERS_ENV = "QWALK1D_WORKERS"
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -153,17 +149,16 @@ def cmd_moments(args: argparse.Namespace) -> int:
     spec = resolve_spec(args)
     eff = derive_effective(spec)
     if args.all_times:
-        reports = (moment_report(eff, rows.t_max, table=rows)
-                   for rows in iter_lattice_rows(eff.abs_a, args.t))
+        mean, second = moment_curves(eff.abs_a, eff.nu, eff.alpha, args.t)
+        rows = [(t, m, s, s - m * m, s / float(t * t))
+                for t, m, s in zip(range(1, args.t + 1), mean.tolist(), second.tolist())]
     else:
-        reports = [moment_report(eff, args.t)]
+        rep = moment_report(eff, args.t)
+        rows = [(rep.t, rep.mean, rep.second, rep.variance, rep.normalized_second)]
+    walk = f"{fmt(eff.abs_a)},{fmt(eff.nu)},{fmt(eff.alpha)}"
     lines = ["t,abs_a,nu,alpha,mean,second,variance,normalized_second"]
-    for rep in reports:
-        lines.append(
-            f"{rep.t},{fmt(rep.abs_a)},{fmt(rep.nu)},{fmt(rep.alpha)},"
-            f"{fmt(rep.mean)},{fmt(rep.second)},{fmt(rep.variance)},"
-            f"{fmt(rep.normalized_second)}"
-        )
+    for t, *values in rows:
+        lines.append(f"{t},{walk}," + ",".join(fmt(v) for v in values))
     write_output("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
@@ -236,50 +231,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED
 
 
-def _workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _moment_sweep_job(job: tuple[float, int, float, float]) -> list[str]:
-    abs_a, t_max, nu, alpha = job
-    return [
-        f"{rows.t_max},{fmt(abs_a)},{fmt(normalized_second(abs_a, rows.t_max, table=rows))}"
-        for rows in iter_lattice_rows(abs_a, t_max)
-    ]
-
-
-def _variance_sweep_job(job: tuple[float, int, float, float]) -> list[str]:
-    abs_a, t_max, nu, alpha = job
-    out = []
-    for rows in iter_lattice_rows(abs_a, t_max):
-        t = rows.t_max
-        v = variance(abs_a, nu, alpha, t, table=rows)
-        out.append(f"{t},{fmt(abs_a)},{fmt(nu)},{fmt(alpha)},{fmt(v / (t * t))}")
-    return out
-
-
-def _run_jobs(fn, jobs: list) -> list[list[str]]:
-    workers = _workers()
-    if workers == 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    grid = [float(v) for v in np.linspace(0.0, 1.0, args.grid)]
-    if args.kind == "moments":
-        jobs = [(a, args.t, 0.0, 0.0) for a in grid]
-        header = "t,abs_a,normalized_second"
-        blocks = _run_jobs(_moment_sweep_job, jobs)
-    elif args.kind == "variance":
-        jobs = [(a, args.t, args.nu, args.alpha) for a in grid]
-        header = "t,abs_a,nu,alpha,normalized_variance"
-        blocks = _run_jobs(_variance_sweep_job, jobs)
+    if args.kind in ("moments", "variance"):
+        grid = np.linspace(0.0, 1.0, args.grid)
+        t2 = np.arange(1, args.t + 1, dtype=float)[:, None] ** 2
+        if args.kind == "moments":
+            header = "t,abs_a,normalized_second"
+            _, second = moment_curves(grid, 0.0, 0.0, args.t)
+            curves, prefixes = second / t2, [fmt(a) for a in grid]
+        else:
+            header = "t,abs_a,nu,alpha,normalized_variance"
+            mean, second = moment_curves(grid, args.nu, args.alpha, args.t)
+            curves = (second - mean * mean) / t2
+            prefixes = [f"{fmt(a)},{fmt(args.nu)},{fmt(args.alpha)}" for a in grid]
+        blocks = [[f"{t},{prefix},{fmt(v)}" for t, v in enumerate(curve, start=1)]
+                  for prefix, curve in zip(prefixes, curves.T.tolist())]
     else:
         nus = [float(v) for v in args.nu_list.split(",")]
         header = "nu,x,rho"
@@ -374,9 +340,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def fold_negative_values(argv: list[str]) -> list[str]:
+    """Join ``--flag -1e-05`` into ``--flag=-1e-05``.
+
+    argparse before Python 3.13 takes every token that starts with '-' for
+    an option unless it is a plain decimal such as -0.5.
+    """
+    out: list[str] = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        pending = flag.startswith("--") and "=" not in flag
+        if pending and token.startswith("-") and _is_number(token):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(fold_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ResourceLimitError as exc:

@@ -13,11 +13,12 @@ with integer coefficients.
 Every closed form needs at most the three rows u_{t-2}, u_{t-1}, u_t at
 one time t. ``lattice_rows`` computes them in O(t log t) time and O(t)
 memory by sampling U_t(|a| cos p) and inverting with one real FFT; it
-is the default route, handed out by ``rows_for``. ``iter_lattice_rows``
-streams the same windows for every t by the recursion, for callers that
-sweep all times. Three independent routes check the kernel: the full
-O(t^2) table recursion (float), the explicit integer power series, and
-direct quadrature.
+is the default route, handed out by ``rows_for``. Callers that sweep all
+times use the recursion: ``row_blocks`` streams its rows in read-only
+blocks of ~2^14 values, for many |a| at once, and ``iter_lattice_rows``
+hands out per-t windows into them. Three independent routes check the
+kernel: the full O(t^2) table recursion (float), the explicit integer
+power series, and direct quadrature.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ from .params import ResourceLimitError
 # available at any t. Protects against accidental huge exact requests,
 # not against overflow (Python integers are unbounded).
 MAX_EXACT_T = 10_000
+
+# Values per block of streamed rows; 2^16 measured slower and raised peak RSS.
+ROW_BLOCK = 1 << 14
 
 
 def chebyshev_u(n: int, y):
@@ -125,10 +129,13 @@ class LatticeRows(FoundationTable):
         return t == self.t_max
 
 
-def _recursion_step(out: np.ndarray, mid: np.ndarray, other: np.ndarray, abs_a: float) -> None:
-    """out += |a| mid(x+1) + |a| mid(x-1) - other, in the table's operation order."""
-    out[:-1] += abs_a * mid[1:]
-    out[1:] += abs_a * mid[:-1]
+def _recursion_step(out: np.ndarray, mid: np.ndarray, other: np.ndarray, abs_a) -> None:
+    """out += |a| mid(x+1) + |a| mid(x-1) - other, in the table's operation order.
+
+    x is the last axis; an |a| column of shape (n, 1) advances n rows at once.
+    """
+    out[..., :-1] += abs_a * mid[..., 1:]
+    out[..., 1:] += abs_a * mid[..., :-1]
     out -= other
 
 
@@ -186,29 +193,45 @@ def lattice_rows(abs_a: float, t: int) -> LatticeRows:
     return LatticeRows(abs_a=float(abs_a), t_max=t, values=values)
 
 
-def iter_lattice_rows(abs_a: float, t_max: int) -> Iterator[LatticeRows]:
-    """Windows for t = 1 .. t_max by the recursion, in O(t_max) memory.
+def row_blocks(abs_a, t_max: int) -> Iterator[tuple[slice, int, np.ndarray]]:
+    """Rows u_{-1} .. u_{t_max} on [-(t_max+1), t_max+1] by the recursion, in blocks.
 
-    Each equals the rows of ``foundation_table(abs_a, t_max)`` bit for bit.
-    Rows are computed in read-only blocks of about 2^16 values, and the
-    windows are views into them, which keeps the per-t cost at one step.
+    Yields ``(cols, first, values)`` with read-only ``values[i, j]`` = u_{first+i-2}
+    at |a| = ``ravel(abs_a)[cols][j]``, bit-identical to ``foundation_table``'s
+    row; consecutive blocks of a chunk share two rows. The |a| of a chunk
+    advance together. Chunks keep a block within ~max(ROW_BLOCK, 3 width)
+    doubles, so memory is O(t_max) for any number of |a|.
     """
-    _check_abs_a(abs_a)
+    coins = np.asarray(abs_a, dtype=float).reshape(-1, 1)
+    for value in coins.flat:
+        _check_abs_a(value)
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     width = 2 * t_max + 3
-    below, mid = np.zeros(width), np.zeros(width)
-    mid[t_max + 1] = 1.0
-    step = max(1, (1 << 16) // width)
-    for first in range(1, t_max + 1, step):
-        values = np.zeros((min(step, t_max + 1 - first) + 2, width))
-        values[0], values[1] = below, mid
-        for i in range(2, len(values)):
-            _recursion_step(values[i], values[i - 1], values[i - 2], abs_a)
-        values.flags.writeable = False
+    chunk = max(1, ROW_BLOCK // (3 * width))
+    for lo in range(0, len(coins), chunk):
+        coin = coins[lo : lo + chunk]
+        step = max(1, ROW_BLOCK // (len(coin) * width) - 2)
+        below, mid = np.zeros((2, len(coin), width))
+        mid[:, t_max + 1] = 1.0
+        for first in range(1, t_max + 1, step):
+            values = np.zeros((min(step, t_max + 1 - first) + 2, len(coin), width))
+            values[0], values[1] = below, mid
+            for i in range(2, len(values)):
+                _recursion_step(values[i], values[i - 1], values[i - 2], coin)
+            values.flags.writeable = False
+            yield slice(lo, lo + len(coin)), first, values
+            below, mid = values[-2], values[-1]
+
+
+def iter_lattice_rows(abs_a: float, t_max: int) -> Iterator[LatticeRows]:
+    """Windows for t = 1 .. t_max, views into ``row_blocks``: one step per t.
+
+    Each equals the rows of ``foundation_table(abs_a, t_max)`` bit for bit.
+    """
+    for _, first, values in row_blocks(abs_a, t_max):
         for i in range(len(values) - 2):
-            yield LatticeRows(abs_a=float(abs_a), t_max=first + i, values=values[i : i + 3])
-        below, mid = values[-2], values[-1]
+            yield LatticeRows(abs_a=float(abs_a), t_max=first + i, values=values[i : i + 3, 0])
 
 
 def rows_for(abs_a: float, t: int, table: FoundationTable | None = None) -> FoundationTable:

@@ -11,10 +11,12 @@ with S[.] a lattice sum and
     S_mi = sum_j P^t_{t-2j} P^{t-1}_{t-2j-1} (t-2j)^{2n+1}
     S_sq = sum_j [P^{t-1}_{t-2j-1}]^2 (t-2j)^{2n+1}.
 
-Float paths read the three rows u_{t-2}, u_{t-1}, u_t once per call from
+Per-t float paths read the three rows u_{t-2}, u_{t-1}, u_t from
 ``foundation.rows_for``: the O(t log t) FFT window unless a prebuilt
-table or window is passed. An exact path (Fraction arithmetic over
-integer coefficient rows) backs the identity tests at small t. The
+table or window is passed. ``moment_curves`` is the all-times route:
+block sums over the recursion rows, for many |a| at once. An exact path
+(Fraction arithmetic over integer coefficient rows) backs the identity
+tests at small t. The
 odd-moment coefficient signs follow the same oracle-fixed convention as
 the densities; the published variant (alpha subtracted) sits behind
 ``paper_signs=True``.
@@ -28,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .density import DensityProfile
-from .foundation import FoundationTable, polynomial_table, rows_for
+from .foundation import FoundationTable, polynomial_table, row_blocks, rows_for
 from .params import (
     EffectiveParams,
     InfeasibleParamsError,
@@ -250,6 +252,31 @@ def moment_report(
         variance=second - mean * mean,
         normalized_second=second / float(t * t),
     )
+
+
+def moment_curves(abs_a, nu: float, alpha: float, t_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(<x>, <x^2>) for t = 1 .. t_max, each of shape (t_max,) + shape(abs_a).
+
+    All |a| share (nu, alpha) and advance in one recursion; each block of
+    ``row_blocks`` gives every moment it covers by matrix-vector products.
+    The sums run in another order than in ``moment_report``, its oracle.
+    """
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    coins = np.asarray(abs_a, dtype=float).ravel()
+    bad = [a for a in coins if not validate_effective(nu, alpha, float(a))]
+    if bad and t_max:
+        raise InfeasibleParamsError(f"(nu={nu}, alpha={alpha}, abs_a={bad[0]}) is not reachable")
+    mean, second = np.zeros((2, t_max, coins.size))
+    x = np.arange(-(t_max + 1), t_max + 2, dtype=float)
+    x2 = x * x
+    for cols, first, v in row_blocks(coins, t_max):
+        mid, left, times = v[1:-1], v[1:-1, :, :-1], slice(first - 1, first + len(v) - 3)
+        second[times, cols] = (mid * mid) @ (x2 + 1.0) - (v[2:] * v[:-2]) @ x2
+        s_mi, s_sq = (v[2:, :, 1:] * left) @ x[1:], (left * left) @ x[1:]
+        mean[times, cols] = (4.0 * coins[cols] * nu + 2.0 * alpha) * s_mi - 2.0 * nu * s_sq
+    shape = (t_max,) + np.shape(abs_a)
+    return mean.reshape(shape), second.reshape(shape)
 
 
 def second_moment_profile_check(profile: DensityProfile) -> float:

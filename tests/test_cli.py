@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qwalk1d import WalkSpec
+from qwalk1d import WalkSpec, normalized_second
 from qwalk1d.cli import main
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -160,6 +160,15 @@ class TestMoments:
         assert [int(r[0]) for r in rows] == [1, 2, 3, 4, 5, 6]
         assert abs(float(rows[3][5]) - 5.0) < 1e-12
 
+    def test_all_times_edge_times(self, capsys):
+        code, out, _ = run_cli(capsys, ["moments", "--hadamard", "--t", "0", "--all-times"])
+        assert code == 0
+        assert out == "t,abs_a,nu,alpha,mean,second,variance,normalized_second\n"
+        code, out, err = run_cli(capsys, ["moments", "--hadamard", "--t", "-1", "--all-times"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestPoly:
     def test_exact_row_payload(self, capsys):
@@ -270,14 +279,53 @@ class TestSweep:
             mass = sum(float(r[2]) for r in rows if float(r[0]) == nu)
             assert abs(mass - 1.0) < 1e-12
 
-    def test_worker_pool_matches_serial(self, capsys, monkeypatch):
-        argv = ["sweep", "--kind", "moments", "--t", "6", "--grid", "4"]
-        code, serial, _ = run_cli(capsys, argv)
+    def test_batched_sweep_matches_per_abs_a(self, capsys):
+        code, out, _ = run_cli(capsys, ["sweep", "--kind", "moments", "--t", "40", "--grid", "6"])
         assert code == 0
-        monkeypatch.setenv("QWALK1D_WORKERS", "2")
-        code, pooled, _ = run_cli(capsys, argv)
+        _, rows = parse_csv(out)
+        expected = [(t, abs_a) for abs_a in np.linspace(0.0, 1.0, 6) for t in range(1, 41)]
+        assert [(int(r[0]), float(r[1])) for r in rows] == expected
+        for (t, abs_a), row in zip(expected, rows):
+            # Block sums vs per-t sums: |d second| <= 1e-12 t^2.
+            assert abs(float(row[2]) - normalized_second(float(abs_a), t)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["moments", "variance"])
+    def test_time_zero_prints_the_header_only(self, capsys, kind):
+        code, out, _ = run_cli(capsys, ["sweep", "--kind", kind, "--t", "0", "--grid", "3"])
         assert code == 0
-        assert pooled == serial
+        assert len(out.splitlines()) == 1
+
+    @pytest.mark.parametrize("kind", ["moments", "variance"])
+    def test_negative_time_is_bad_input(self, capsys, kind):
+        code, out, err = run_cli(capsys, ["sweep", "--kind", kind, "--t", "-1", "--grid", "3"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
+class TestNegativeFloatFlags:
+    @pytest.mark.parametrize("spaced, joined", [
+        ("moments --a-abs 0.5 --nu -1e-05 --alpha 0 --t 3",
+         "moments --a-abs 0.5 --nu=-1e-05 --alpha 0 --t 3"),
+        ("moments --a-abs 0.5 --nu 0.1 --alpha -2.5E-3 --t 9 --all-times",
+         "moments --a-abs 0.5 --nu 0.1 --alpha=-2.5E-3 --t 9 --all-times"),
+        ("moments --hadamard --k -1e-3 --t 4",
+         "moments --hadamard --k=-1e-3 --t 4"),
+        ("density --a-abs 0.6 --a-arg -2.5e-1 --c0-arg -1.e-2 --b-arg -3 --t 5",
+         "density --a-abs 0.6 --a-arg=-2.5e-1 --c0-arg=-1.e-2 --b-arg=-3 --t 5"),
+        ("sweep --kind variance --nu -3e-01 --alpha -0e0 --t 4 --grid 3",
+         "sweep --kind variance --nu=-3e-01 --alpha=-0e0 --t 4 --grid 3"),
+    ], ids=["moments-nu", "all-times-alpha", "moments-k", "density-phases", "sweep"])
+    def test_space_form_matches_equals_form(self, capsys, spaced, joined):
+        code, out, err = run_cli(capsys, spaced.split())
+        assert code == 0, err
+        assert (0, out) == run_cli(capsys, joined.split())[:2]
+
+    def test_non_finite_value_is_bad_input(self, capsys):
+        code, out, err = run_cli(capsys, ["moments", "--hadamard", "--k", "-inf", "--t", "3"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestExitCodes:

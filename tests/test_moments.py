@@ -1,6 +1,7 @@
 """Moment formulas: density sums, closed forms, and exact rational routes."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,12 @@ import pytest
 from qwalk1d import (
     InfeasibleParamsError,
     WalkSpec,
+    derive_effective,
     first_moment,
     first_moment_exact,
+    iter_lattice_rows,
     max_alpha,
+    moment_curves,
     moment_from_density,
     moment_report,
     normalization_identity,
@@ -200,6 +204,68 @@ class TestMomentReport:
         rep = moment_report(WalkSpec.hadamard(), 0)
         assert rep.mean == 0.0
         assert rep.second == 0.0
+
+
+def assert_curves_close(mean, second, mean_ref, second_ref):
+    # The block sums add in another order than the per-t ones: allow
+    # |d mean| <= 1e-12 t and |d second| <= 1e-12 t^2 (worst seen ~2e-16 t).
+    t = np.arange(1, len(mean) + 1, dtype=float).reshape((-1,) + (1,) * (np.ndim(mean) - 1))
+    assert np.all(np.abs(mean - mean_ref) <= 1e-12 * t)
+    assert np.all(np.abs(second - second_ref) <= 1e-12 * t**2)
+
+
+class TestMomentCurves:
+    def test_matches_per_time_reports(self):
+        rng = np.random.default_rng(20070)
+        for t_max in (1, 2, 3, 57, 1000):
+            abs_a = float(rng.uniform(0.0, 1.0))
+            nu = float(rng.uniform(-0.5, 0.5))
+            alpha = float(rng.uniform(-1.0, 1.0)) * max_alpha(abs_a, nu)
+            eff = derive_effective(WalkSpec.from_symmetry(abs_a, nu, alpha))
+            reports = [moment_report(eff, rows.t_max, table=rows)
+                       for rows in iter_lattice_rows(eff.abs_a, t_max)]
+            mean, second = moment_curves(eff.abs_a, eff.nu, eff.alpha, t_max)
+            assert mean.shape == second.shape == (t_max,)
+            assert_curves_close(mean, second, [r.mean for r in reports],
+                                [r.second for r in reports])
+
+    def test_batched_coins_match_scalar_calls(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        nu, alpha, t_max = 0.3, 0.0, 120
+        mean, second = moment_curves(grid, nu, alpha, t_max)
+        assert mean.shape == second.shape == (t_max, 11)
+        for j, abs_a in enumerate(grid):
+            assert_curves_close(mean[:, j], second[:, j], *moment_curves(abs_a, nu, alpha, t_max))
+
+    def test_endpoint_coins(self):
+        t = np.arange(1, 201, dtype=float)
+        mean, second = moment_curves(np.array([0.0, 1.0]), 0.5, 0.0, 200)
+        assert np.all(np.abs(second[:, 1] / t**2 - 1.0) <= 1e-12)
+        assert np.all(np.abs(second - mean**2) <= 1e-10)
+
+    def test_time_zero_is_empty(self):
+        mean, second = moment_curves(0.4, 0.1, 0.0, 0)
+        assert mean.shape == second.shape == (0,)
+        mean, second = moment_curves(np.linspace(0.0, 1.0, 5), 0.1, 0.0, 0)
+        assert mean.shape == second.shape == (0, 5)
+        with pytest.raises(ValueError):
+            moment_curves(0.4, 0.1, 0.0, -1)
+
+    def test_infeasible_rejected(self):
+        with pytest.raises(InfeasibleParamsError):
+            moment_curves(np.array([0.2, 1.0]), 0.3, 0.1, 4)
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # 1001 coins at t = 100: one unchunked 3-row block would be 4.9 MB.
+        # Beyond the two returned (100, 1001) curves, the chunked blocks
+        # keep the working set to ~max(2^14, 3 (2t + 3)) doubles.
+        tracemalloc.start()
+        try:
+            mean, second = moment_curves(np.linspace(0.0, 1.0, 1001), 0.1, 0.0, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - mean.nbytes - second.nbytes < 1_000_000
 
 
 class TestLargeTimeEnvelope:
