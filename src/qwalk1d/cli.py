@@ -11,6 +11,7 @@ exact; identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -357,9 +358,14 @@ def fold_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on first use and reused: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(fold_negative_values(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(fold_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ResourceLimitError as exc:

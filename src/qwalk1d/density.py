@@ -90,18 +90,27 @@ def component_densities(spec: WalkSpec, t: int) -> tuple[np.ndarray, np.ndarray]
     return _component_arrays(eff.abs_a, eff.nu, eff.alpha, t, lattice_rows(eff.abs_a, t))
 
 
+def density_shapes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rho_even, rho_sq, rho_mi) over [-t, t] from rows u_{t-2}, u_{t-1}, u_t.
+
+    ``rows`` holds those three rows first and the sites x in [-(t+1), t+1]
+    last, as ``FoundationTable.window`` and ``lattice_row_batch`` lay them
+    out; any axes between, such as one per |a|, carry through.
+    """
+    u_prev, u_t = rows[0, ..., 1:-1], rows[2, ..., 1:-1]
+    u_left, u_right = rows[1, ..., :-2], rows[1, ..., 2:]
+    # u_{t-2} is the u_{-1} zero row at t = 1
+    rho_even = 0.5 * (u_left**2 + u_right**2) - u_t * u_prev
+    return rho_even, u_left**2 - u_right**2, u_t * (u_left - u_right)
+
+
 def even_density(
     abs_a: float, t: int, table: FoundationTable | None = None
 ) -> np.ndarray:
     """The |a|-only even part of the density, over x in [-t, t]."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    table = rows_for(abs_a, t, table)
-    x = np.arange(-t, t + 1)
-    u_left = table.row_on(t - 1, x, shift=-1)
-    u_right = table.row_on(t - 1, x, shift=1)
-    # u_{t-2} falls back to the u_{-1} zero row at t = 1
-    return 0.5 * (u_left**2 + u_right**2) - table.row_on(t, x) * table.row_on(t - 2, x)
+    return density_shapes(rows_for(abs_a, t, table).window(t))[0]
 
 
 def odd_components(
@@ -110,13 +119,7 @@ def odd_components(
     """The two odd basis shapes (rho_sq, rho_mi) over x in [-t, t]."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    table = rows_for(abs_a, t, table)
-    x = np.arange(-t, t + 1)
-    u_left = table.row_on(t - 1, x, shift=-1)
-    u_right = table.row_on(t - 1, x, shift=1)
-    rho_sq = u_left**2 - u_right**2
-    rho_mi = table.row_on(t, x) * (u_left - u_right)
-    return rho_sq, rho_mi
+    return density_shapes(rows_for(abs_a, t, table).window(t))[1:]
 
 
 def odd_coefficients(
@@ -166,8 +169,7 @@ def total_density(
         )
     table = rows_for(abs_a, t, table)
     rho0, rho1 = _component_arrays(abs_a, nu, alpha, t, table)
-    rho_even = even_density(abs_a, t, table)
-    rho_sq, rho_mi = odd_components(abs_a, t, table)
+    rho_even, rho_sq, rho_mi = density_shapes(table.window(t))
     c_sq, c_mi = odd_coefficients(abs_a, nu, alpha, paper_signs)
     rho_odd = c_sq * rho_sq + c_mi * rho_mi
     return DensityProfile(

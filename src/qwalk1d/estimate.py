@@ -6,12 +6,17 @@ parameters,
     rho(x) = rho_even(x) + nu B_nu(x) + alpha B_alpha(x),
     B_nu = 2 |a| rho_mi - rho_sq,   B_alpha = rho_mi,
 
-so the inner problem is plain linear least squares, clipped to the
-physically reachable ellipse 4 nu^2 + alpha^2 / (1 - |a|^2) <= 1 (with a
-boundary refit when the unconstrained minimum falls outside). The outer
-problem is a one-dimensional search over |a|: a coarse grid to locate the
-basin, then golden-section refinement. The observation time t is an
-input, not a fit parameter.
+so the inner problem is weighted linear least squares in two unknowns.
+Its normal equations are five row-wise sums over the residual
+r = p - rho_even and the two bases, solved in closed form for many |a|
+at once, in chunks of coins that share one batch of lattice rows. A
+rank-deficient or unreachable solution is refit on the boundary of the
+reachable ellipse 4 nu^2 + alpha^2 / (1 - |a|^2) <= 1, where the residual
+is a quadratic form in (cos theta, sin theta) of the same five sums: a
+vectorized scan, then golden section on scalars. The outer problem is a
+one-dimensional search over |a|: the batched coarse grid locates the
+basin, then golden-section refinement runs one coin per step. The
+observation time t is an input, not a fit parameter.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityProfile, even_density, odd_components
-from .foundation import lattice_rows
+from .density import DensityProfile, density_shapes
+from .foundation import ROW_BLOCK, lattice_row_batch
 from .params import UnderdeterminedError, max_alpha, validate_effective
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -89,9 +94,19 @@ class FitResult:
     feasible: bool
 
 
-def _boundary_refit(
-    r: np.ndarray, b_nu: np.ndarray, b_al: np.ndarray, abs_a: float, w: np.ndarray
-) -> tuple[float, float]:
+def _boundary_objective(sums, semi: float, c, s):
+    """The weighted residual less sum(w r^2) at nu = c/2, alpha = semi s.
+
+    On the boundary, c = cos(theta) and s = sin(theta), the residual is a
+    quadratic form in (c, s) fixed by ``sums`` = (g_nn, g_na, g_aa, h_n,
+    h_a): the Gram entries sum(w b b') and projections sum(w b r) of the
+    bases b_nu, b_al. Takes floats or arrays.
+    """
+    g_nn, g_na, g_aa, h_n, h_a = sums
+    return c * (0.25 * g_nn * c + semi * g_na * s - h_n) + semi * s * (semi * g_aa * s - 2 * h_a)
+
+
+def _boundary_refit(sums: list[float], abs_a: float) -> tuple[float, float]:
     """Minimize the weighted residual on the feasibility boundary.
 
     Parametrizes nu = cos(theta)/2, alpha = semi * sin(theta) with
@@ -101,26 +116,15 @@ def _boundary_refit(
     """
     semi = math.sqrt(max(0.0, 1.0 - abs_a * abs_a))
     if semi == 0.0:
-        denom = float(np.sum(w * b_nu * b_nu))
-        if denom == 0.0:
-            return 0.0, 0.0
-        nu = float(np.sum(w * r * b_nu)) / denom
-        return max(-0.5, min(0.5, nu)), 0.0
-
-    def objective(theta: float) -> float:
-        nu = 0.5 * math.cos(theta)
-        alpha = semi * math.sin(theta)
-        diff = r - nu * b_nu - alpha * b_al
-        return float(np.sum(w * diff * diff))
-
+        g_nn, h_n = sums[0], sums[3]
+        return (0.0, 0.0) if g_nn == 0.0 else (max(-0.5, min(0.5, h_n / g_nn)), 0.0)
     grid = np.linspace(0.0, 2.0 * math.pi, 721)
-    values = [objective(th) for th in grid]
-    i = int(np.argmin(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    lo, hi = _golden_section(objective, lo, hi, 1e-10)
+    i = int(np.argmin(_boundary_objective(sums, semi, np.cos(grid), np.sin(grid))))
+    lo, hi = _golden_section(lambda th: _boundary_objective(sums, semi, math.cos(th), math.sin(th)),
+                             grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], 1e-10)
     theta = 0.5 * (lo + hi)
-    return 0.5 * math.cos(theta), semi * math.sin(theta)
+    nu, alpha = 0.5 * math.cos(theta), semi * math.sin(theta)
+    return nu, math.copysign(min(abs(alpha), max_alpha(abs_a, nu)), alpha)
 
 
 def _golden_section(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -140,6 +144,54 @@ def _golden_section(fn, lo: float, hi: float, tol: float) -> tuple[float, float]
     return lo, hi
 
 
+def _weights(hist: EmpiricalHistogram, weighting: str) -> np.ndarray:
+    if weighting not in ("none", "poisson"):
+        raise ValueError(f"unknown weighting {weighting!r}")
+    if weighting == "poisson":
+        return 1.0 / np.maximum(hist.counts, 1.0)
+    return np.ones(len(hist.counts))
+
+
+def _inner_fits(
+    p: np.ndarray, w: np.ndarray, abs_a: np.ndarray, t: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(nu, alpha, residual, informative) for each |a| of a 1-D array.
+
+    ``informative`` counts the sites that respond to (nu, alpha); where it
+    is below 2 the coin gets (0, 0) and the even-only residual. The |a|
+    axis runs in chunks of ~ROW_BLOCK sites per array, each one batch of
+    rows, five row-wise sums and a closed-form 2x2 solve.
+    """
+    out = np.empty((4, len(abs_a)))
+    chunk = max(1, ROW_BLOCK // (2 * t + 3))
+    rcond = np.finfo(float).eps * (2 * t + 1)  # np.linalg.lstsq's default
+    for lo in range(0, len(abs_a), chunk):
+        coins = abs_a[lo : lo + chunk]
+        rho_even, rho_sq, b_al = density_shapes(lattice_row_batch(coins, t))
+        r = p - rho_even
+        b_nu = 2.0 * coins[:, None] * b_al - rho_sq
+        pairs = ((b_nu, b_nu), (b_nu, b_al), (b_al, b_al), (b_nu, r), (b_al, r))
+        sums = np.array([np.sum(w * u * v, axis=-1) for u, v in pairs])
+        g_nn, g_na, g_aa, h_n, h_a = sums
+        det = g_nn * g_aa - g_na * g_na
+        # rank 2 iff the design's singular values satisfy s_min > rcond s_max
+        full = det > (rcond * 0.5 * (g_nn + g_aa + np.hypot(g_nn - g_aa, 2.0 * g_na))) ** 2
+        det = np.where(full, det, 1.0)
+        nu, alpha = (g_aa * h_n - g_na * h_a) / det, (g_nn * h_a - g_na * h_n) / det
+        informative = np.count_nonzero((b_nu != 0.0) | (b_al != 0.0), axis=-1)
+        for j, (coin, n, a) in enumerate(zip(coins.tolist(), nu.tolist(), alpha.tolist())):
+            if informative[j] < 2:
+                nu[j] = alpha[j] = 0.0
+            elif not (full[j] and validate_effective(n, a, coin)):
+                # Rank deficiency (|a| = 1 makes the two bases collinear) is
+                # resolved the same way as infeasibility: solve on the boundary
+                # of the reachable ellipse, where alpha is tied to nu.
+                nu[j], alpha[j] = _boundary_refit(sums[:, j].tolist(), coin)
+        diff = r - nu[:, None] * b_nu - alpha[:, None] * b_al
+        out[:, lo : lo + chunk] = nu, alpha, np.sum(w * diff * diff, axis=-1), informative
+    return out[0], out[1], out[2], out[3]
+
+
 def fit_symmetry_params(
     hist: EmpiricalHistogram, abs_a: float, weighting: str = "none"
 ) -> tuple[float, float, float]:
@@ -150,37 +202,15 @@ def fit_symmetry_params(
     is plain least squares on probabilities. Raises when the model is
     blind to (nu, alpha), e.g. t = 0 or the |a| = 0 even-t walk.
     """
-    if weighting not in ("none", "poisson"):
-        raise ValueError(f"unknown weighting {weighting!r}")
+    w = _weights(hist, weighting)
     if hist.t < 1:
         raise UnderdeterminedError("t = 0 has a single site; nothing to fit")
-    if not 0.0 <= abs_a <= 1.0:
-        raise ValueError(f"abs_a must lie in [0, 1], got {abs_a}")
-    t = hist.t
-    p = hist.probabilities()
-    w = (1.0 / np.maximum(hist.counts, 1.0)) if weighting == "poisson" else np.ones_like(p)
-    rows = lattice_rows(abs_a, t)
-    r = p - even_density(abs_a, t, rows)
-    rho_sq, rho_mi = odd_components(abs_a, t, rows)
-    b_nu = 2.0 * abs_a * rho_mi - rho_sq
-    b_al = rho_mi
-    informative = int(np.sum((b_nu != 0.0) | (b_al != 0.0)))
+    nu, alpha, residual, informative = (
+        float(v[0]) for v in _inner_fits(hist.probabilities(), w, np.array([abs_a]), hist.t))
     if informative < 2:
-        raise UnderdeterminedError(
-            f"only {informative} sites respond to (nu, alpha) at |a| = {abs_a}, t = {t}"
-        )
-    sw = np.sqrt(w)
-    design = np.column_stack([sw * b_nu, sw * b_al])
-    sol, _, rank, _ = np.linalg.lstsq(design, sw * r, rcond=None)
-    nu, alpha = float(sol[0]), float(sol[1])
-    if rank < 2 or not validate_effective(nu, alpha, abs_a):
-        # Rank deficiency (|a| = 1 makes the two bases collinear) is
-        # resolved the same way as infeasibility: solve on the boundary
-        # of the reachable ellipse, where alpha is tied to nu.
-        nu, alpha = _boundary_refit(r, b_nu, b_al, abs_a, w)
-        alpha = math.copysign(min(abs(alpha), max_alpha(abs_a, nu)), alpha)
-    diff = r - nu * b_nu - alpha * b_al
-    return nu, alpha, float(np.sum(w * diff * diff))
+        raise UnderdeterminedError(f"only {informative:.0f} sites respond to (nu, alpha) "
+                                   f"at |a| = {abs_a}, t = {hist.t}")
+    return nu, alpha, residual
 
 
 def fit_walk(
@@ -200,30 +230,24 @@ def fit_walk(
         raise UnderdeterminedError("need t >= 2 to separate |a| from (nu, alpha)")
     if coarse_points < 3:
         raise ValueError("coarse_points must be >= 3")
+    p, w = hist.probabilities(), _weights(hist, weighting)
 
     def inner(abs_a: float) -> tuple[float, float, float]:
-        try:
-            return fit_symmetry_params(hist, abs_a, weighting)
-        except UnderdeterminedError:
-            p = hist.probabilities()
-            w = (1.0 / np.maximum(hist.counts, 1.0)) if weighting == "poisson" \
-                else np.ones_like(p)
-            diff = p - even_density(abs_a, hist.t)
-            return 0.0, 0.0, float(np.sum(w * diff * diff))
+        return tuple(float(v[0]) for v in _inner_fits(p, w, np.array([abs_a]), hist.t)[:3])
 
     grid = np.linspace(0.0, 1.0, coarse_points)
-    residuals = np.array([inner(a)[2] for a in grid])
+    nus, alphas, residuals, _ = _inner_fits(p, w, grid, hist.t)
     i = int(np.argmin(residuals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    lo, hi = _golden_section(lambda a: inner(a)[2], lo, hi, tol)
-    abs_a_hat = 0.5 * (lo + hi)
-    # Keep the coarse winner if refinement did not actually improve on it
-    if inner(abs_a_hat)[2] > residuals[i]:
-        abs_a_hat = float(grid[i])
+    lo, hi = _golden_section(lambda a: inner(a)[2], grid[max(i - 1, 0)],
+                             grid[min(i + 1, len(grid) - 1)], tol)
+    abs_a_hat = float(0.5 * (lo + hi))
     nu_hat, alpha_hat, residual = inner(abs_a_hat)
+    # Keep the coarse winner if refinement did not actually improve on it
+    if residual > residuals[i]:
+        abs_a_hat, nu_hat, alpha_hat, residual = (
+            float(grid[i]), float(nus[i]), float(alphas[i]), float(residuals[i]))
     return FitResult(
-        abs_a_hat=float(abs_a_hat),
+        abs_a_hat=abs_a_hat,
         nu_hat=nu_hat,
         alpha_hat=alpha_hat,
         residual=residual,

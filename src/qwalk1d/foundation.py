@@ -13,7 +13,9 @@ with integer coefficients.
 Every closed form needs at most the three rows u_{t-2}, u_{t-1}, u_t at
 one time t. ``lattice_rows`` computes them in O(t log t) time and O(t)
 memory by sampling U_t(|a| cos p) and inverting with one real FFT; it
-is the default route, handed out by ``rows_for``. Callers that sweep all
+is the default route, handed out by ``rows_for``. ``lattice_row_batch``
+gives the same rows for many |a| at one t from one FFT over an |a|
+column, for the fit's grid of coins. Callers that sweep all
 times use the recursion: ``row_blocks`` streams its rows in read-only
 blocks of ~2^14 values, for many |a| at once, and ``iter_lattice_rows``
 hands out per-t windows into them. Three independent routes check the
@@ -112,6 +114,11 @@ class FoundationTable:
         """True if every row a closed form at time t reads is in the table."""
         return 0 <= t <= self.t_max
 
+    def window(self, t: int) -> np.ndarray:
+        """Rows u_{t-2}, u_{t-1}, u_t on [-(t+1), t+1], shape (3, 2t + 3)."""
+        h = self.half
+        return np.stack([self.row(s)[h - t - 1 : h + t + 2] for s in (t - 2, t - 1, t)])
+
 
 class LatticeRows(FoundationTable):
     """Rows u_{t-2}, u_{t-1}, u_t at the single time t = ``t_max``.
@@ -139,7 +146,7 @@ def _recursion_step(out: np.ndarray, mid: np.ndarray, other: np.ndarray, abs_a) 
     out -= other
 
 
-def _fourier_rows(abs_a: float, t: int) -> np.ndarray:
+def _fourier_rows(abs_a, t: int) -> np.ndarray:
     """u_t and u_{t-1} on [-(t+1), t+1] by one batched real FFT, 0 < |a| < 1.
 
     Samples U_n(y) = sin((n+1) phi) / sin(phi), y = cos(phi) = |a| cos p,
@@ -148,7 +155,8 @@ def _fourier_rows(abs_a: float, t: int) -> np.ndarray:
     cos^2(p/2), sums of positive terms, so it stays accurate where sin(phi)
     is tiny (|a| near 1). The 4m >= 2t + 4 point grid makes the trapezoid
     rule exact; m has four significant bits, so the FFT length factors
-    into small primes.
+    into small primes. A scalar |a| gives shape (2, 2t + 3); a column of
+    n coins gives (n, 2, 2t + 3), each coin bit-identical to its scalar call.
     """
     need = (t + 3) // 2
     shift = max(need.bit_length() - 4, 0)
@@ -156,12 +164,43 @@ def _fourier_rows(abs_a: float, t: int) -> np.ndarray:
     q = (0.5 * np.pi / m) * np.arange(m + 1)
     lo = np.sqrt((1.0 - abs_a) + 2.0 * abs_a * np.sin(0.5 * q) ** 2)
     hi = np.sqrt((1.0 - abs_a) + 2.0 * abs_a * np.cos(0.5 * q) ** 2)
-    vals = np.sin(np.array([[t + 1.0], [float(t)]]) * 2.0 * np.arctan2(lo, hi)) / (lo * hi)
+    angle = 2.0 * np.arctan2(lo, hi)[..., None, :]
+    vals = np.sin(np.array([[t + 1.0], [float(t)]]) * angle) / (lo * hi)[..., None, :]
     sign = np.array([[(-1.0) ** t], [(-1.0) ** (t - 1)]])
-    half_period = np.concatenate([vals, sign * vals[:, m - 1::-1]], axis=1)
-    period = np.concatenate([half_period, half_period[:, -2:0:-1]], axis=1)
-    coef = np.fft.rfft(period, axis=1).real[:, : t + 2] / (4 * m)
-    return np.concatenate([coef[:, :0:-1], coef], axis=1)
+    half_period = np.concatenate([vals, sign * vals[..., m - 1::-1]], axis=-1)
+    period = np.concatenate([half_period, half_period[..., -2:0:-1]], axis=-1)
+    coef = np.fft.rfft(period, axis=-1).real[..., : t + 2] / (4 * m)
+    return np.concatenate([coef[..., :0:-1], coef], axis=-1)
+
+
+def lattice_row_batch(abs_a, t: int) -> np.ndarray:
+    """``lattice_rows`` for every |a| of an array: shape (3, n, 2t + 3).
+
+    ``values[i, j]`` is u_{t-2+i} on [-(t+1), t+1] at |a| = ``ravel(abs_a)[j]``,
+    bit-identical to ``lattice_rows(abs_a[j], t)``: one FFT for the interior
+    coins, the exact integer rows for |a| in {0, 1}, and one recursion step
+    with the |a| column for u_{t-2}.
+    """
+    coins = np.asarray(abs_a, dtype=float).reshape(-1, 1)
+    listed = coins[:, 0].tolist()
+    for value in listed:
+        _check_abs_a(value)
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    if 0.0 in listed or 1.0 in listed:
+        sym = np.zeros((len(coins), 2, 2 * t + 3))
+        sym[coins[:, 0] == 1.0] = 1.0
+        sym[coins[:, 0] == 0.0, :, t + 1] = [(1, 0, -1, 0)[t % 4], (1, 0, -1, 0)[(t - 1) % 4]]
+        inner = (0.0 < coins[:, 0]) & (coins[:, 0] < 1.0)
+        if inner.any():
+            sym[inner] = _fourier_rows(coins[inner], t)
+    else:  # one coin passes as a float: cheaper than a (1, 1) column, same bits
+        sym = _fourier_rows(coins if len(listed) > 1 else listed[0], t).reshape(len(coins), 2, -1)
+    values = np.zeros((3, len(coins), 2 * t + 3))
+    values[2, :, 1::2] = sym[:, 0, 1::2]
+    values[1, :, 2:-2:2] = sym[:, 1, 2:-2:2]
+    _recursion_step(values[0], values[1], values[2], coins)
+    return values
 
 
 def lattice_rows(abs_a: float, t: int) -> LatticeRows:
@@ -173,22 +212,9 @@ def lattice_rows(abs_a: float, t: int) -> LatticeRows:
     endpoint coins get their exact integer rows (u_s = 1 on the support at
     |a| = 1, cos(s pi/2) delta_{x,0} at |a| = 0): results there, such as
     the ballistic variance 0 or the fit's blindness at |a| = 0, rest on
-    exact cancellation.
+    exact cancellation. The one-coin case of ``lattice_row_batch``.
     """
-    _check_abs_a(abs_a)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if abs_a == 1.0:
-        sym = np.ones((2, 2 * t + 3))
-    elif abs_a == 0.0:
-        sym = np.zeros((2, 2 * t + 3))
-        sym[:, t + 1] = [(1, 0, -1, 0)[t % 4], (1, 0, -1, 0)[(t - 1) % 4]]
-    else:
-        sym = _fourier_rows(abs_a, t)
-    values = np.zeros((3, 2 * t + 3))
-    values[2, 1::2] = sym[0, 1::2]
-    values[1, 2:-2:2] = sym[1, 2:-2:2]
-    _recursion_step(values[0], values[1], values[2], abs_a)
+    values = lattice_row_batch(abs_a, t)[:, 0]
     values.flags.writeable = False
     return LatticeRows(abs_a=float(abs_a), t_max=t, values=values)
 

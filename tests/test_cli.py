@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qwalk1d import WalkSpec, normalized_second
+import qwalk1d
+from qwalk1d import WalkSpec, max_alpha, normalized_second
 from qwalk1d.cli import main
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -209,6 +214,29 @@ class TestFit:
         assert abs(payload["alpha_hat"] - 0.1) < 1e-6
         assert payload["feasible"] is True
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_counted_histograms_round_trip(self, capsys, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        abs_a, nu = rng.uniform(0.1, 0.95), rng.uniform(-0.45, 0.45)
+        alpha = rng.uniform(-0.9, 0.9) * max_alpha(abs_a, nu)
+        t = str(rng.integers(10, 90))
+        code, out, _ = run_cli(capsys, ["density", "--a-abs", repr(abs_a), "--nu", repr(nu),
+                                        "--alpha", repr(alpha), "--t", t])
+        assert code == 0
+        _, rows = parse_csv(out)
+        hist_file = tmp_path / "hist.csv"
+        hist_file.write_text(
+            "x,count\n" + "".join(f"{x},{round(float(rho) * 20000)}\n" for x, rho, *_ in rows)
+        )
+        for weighting in ("none", "poisson"):
+            code, out, err = run_cli(
+                capsys, ["fit", "--input", str(hist_file), "--t", t, "--weighting", weighting]
+            )
+            assert code == 0, err
+            payload = json.loads(out)
+            assert type(payload["feasible"]) is bool
+            assert abs(payload["abs_a_hat"] - abs_a) < 0.05
+
     def test_missing_file_is_bad_input(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, ["fit", "--input", str(tmp_path / "nope.csv"), "--t", "5"]
@@ -367,3 +395,27 @@ class TestExitCodes:
         )
         assert code == 2
         assert "error" in err
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["moments", "--a-abs", "0.5", "--nu", "-1e-05", "--t", "7"],
+        ["density", "--hadamard", "--t", "4", "--dense"],
+        ["moments", "--a-abs", "0.3", "--c0-abs", "0.6", "--t", "5", "--all-times"],
+        ["sweep", "--kind", "variance", "--t", "3", "--grid", "3"],
+        ["evolve", "--a-abs", "2", "--t", "1"],
+    ]
+
+    def test_in_process_calls_match_fresh_processes(self, capsys):
+        src = str(Path(qwalk1d.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        fresh = [
+            subprocess.run([sys.executable, "-m", "qwalk1d", *argv], capture_output=True,
+                           text=True, env=env, timeout=120)
+            for argv in self.ARGVS
+        ]
+        expected = [(p.returncode, p.stdout, p.stderr) for p in fresh]
+        assert expected[-1][0] == 2
+        for order in (range(len(self.ARGVS)), reversed(range(len(self.ARGVS)))):
+            for i in order:
+                assert run_cli(capsys, self.ARGVS[i]) == expected[i]

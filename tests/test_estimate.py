@@ -1,5 +1,6 @@
 """Parameter estimation from position histograms."""
 
+import functools
 import math
 
 import numpy as np
@@ -10,12 +11,21 @@ from qwalk1d import (
     UnderdeterminedError,
     WalkSpec,
     fit_symmetry_params,
+    even_density,
     fit_walk,
+    foundation_table,
     max_alpha,
+    odd_components,
     total_density,
     validate_effective,
 )
-from qwalk1d.estimate import _golden_section
+from qwalk1d.estimate import (
+    COARSE_POINTS,
+    _boundary_objective,
+    _golden_section,
+    _inner_fits,
+    _weights,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -180,3 +190,142 @@ class TestGoldenSection:
         lo, hi = _golden_section(lambda x: (x - 0.37) ** 2, 0.0, 1.0, 1e-9)
         assert hi - lo < 1e-8
         assert abs((lo + hi) / 2 - 0.37) < 1e-6
+
+
+def reference_boundary(r, b_nu, b_al, abs_a, w):
+    """The boundary refit by direct weighted sums: a 721-point scan, then golden section."""
+    semi = math.sqrt(max(0.0, 1.0 - abs_a * abs_a))
+    if semi == 0.0:
+        denom = float(np.sum(w * b_nu * b_nu))
+        if denom == 0.0:
+            return 0.0, 0.0
+        return max(-0.5, min(0.5, float(np.sum(w * r * b_nu)) / denom)), 0.0
+
+    def direct(theta):
+        diff = r - 0.5 * math.cos(theta) * b_nu - semi * math.sin(theta) * b_al
+        return float(np.sum(w * diff * diff))
+
+    grid = np.linspace(0.0, 2.0 * math.pi, 721)
+    diff = r - 0.5 * np.cos(grid)[:, None] * b_nu - semi * np.sin(grid)[:, None] * b_al
+    i = int(np.argmin(np.sum(w * diff * diff, axis=-1)))
+    lo, hi = _golden_section(direct, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], 1e-10)
+    theta = 0.5 * (lo + hi)
+    nu, alpha = 0.5 * math.cos(theta), semi * math.sin(theta)
+    return nu, math.copysign(min(abs(alpha), max_alpha(abs_a, nu)), alpha)
+
+
+def reference_bases(abs_a, t):
+    """(rho_even, b_nu, b_al) on foundation_table rows."""
+    table = foundation_table(abs_a, t)
+    rho_sq, rho_mi = odd_components(abs_a, t, table)
+    return even_density(abs_a, t, table), 2.0 * abs_a * rho_mi - rho_sq, rho_mi
+
+
+def reference_inner(p, w, abs_a, bases):
+    """One inner fit as the parent ran it, by lstsq: (nu, alpha, residual, blind)."""
+    rho_even, b_nu, b_al = bases
+    r = p - rho_even
+    if np.count_nonzero((b_nu != 0.0) | (b_al != 0.0)) < 2:
+        return 0.0, 0.0, float(np.sum(w * r * r)), True
+    sw = np.sqrt(w)
+    sol, _, rank, _ = np.linalg.lstsq(np.column_stack([sw * b_nu, sw * b_al]), sw * r, rcond=None)
+    nu, alpha = float(sol[0]), float(sol[1])
+    if rank < 2 or not validate_effective(nu, alpha, abs_a):
+        nu, alpha = reference_boundary(r, b_nu, b_al, abs_a, w)
+    diff = r - nu * b_nu - alpha * b_al
+    return nu, alpha, float(np.sum(w * diff * diff)), False
+
+
+@functools.cache
+def grid_bases(t):
+    return [reference_bases(float(abs_a), t) for abs_a in np.linspace(0.0, 1.0, COARSE_POINTS)]
+
+
+def fit_inputs():
+    """Criterion 8's noiseless grid at t = 50, then seeded fit_histograms-style inputs."""
+    for abs_a in (0.15, 0.35, 0.55, 0.75, 0.92):
+        for nu in (-0.45, -0.2, 0.0, 0.25, 0.45):
+            for frac in (-0.9, -0.4, 0.0, 0.5, 0.9):
+                yield profile_histogram(abs_a, nu, frac * max_alpha(abs_a, nu), 50), "none"
+    rng = np.random.default_rng(4711)
+    for k in range(36):
+        t = (50, 100, 200)[k % 3]
+        abs_a, nu = rng.uniform(0.1, 0.95), rng.uniform(-0.45, 0.45)
+        alpha = rng.uniform(-0.9, 0.9) * max_alpha(abs_a, nu)
+        prof = total_density(WalkSpec.from_symmetry(abs_a, nu, alpha), t)
+        if k % 2:
+            yield EmpiricalHistogram.multinomial(prof, 20_000, seed=k), "poisson"
+        else:
+            yield EmpiricalHistogram.from_profile(prof), "none"
+
+
+class TestBatchedInnerFit:
+    def test_grid_matches_the_lstsq_reference(self):
+        # Stated tolerance: |residual - reference| <= 1e-10 reference + 1e-20;
+        # the reference's table rows differ from the kernel's by ~1e-15.
+        for hist, weighting in fit_inputs():
+            p, w = hist.probabilities(), _weights(hist, weighting)
+            grid = np.linspace(0.0, 1.0, COARSE_POINTS)
+            _, _, res, informative = _inner_fits(p, w, grid, hist.t)
+            ref = np.array([reference_inner(p, w, float(a), bases)
+                            for a, bases in zip(grid, grid_bases(hist.t))])
+            assert np.all(np.abs(res - ref[:, 2]) <= 1e-10 * ref[:, 2] + 1e-20)
+            assert int(np.argmin(res)) == int(np.argmin(ref[:, 2]))
+            assert np.array_equal(informative < 2, ref[:, 3] == 1.0)
+
+    def test_chunks_match_one_coin_calls_bit_for_bit(self):
+        prof = total_density(WalkSpec.from_symmetry(0.63, 0.2, -0.1), 200)
+        hist = EmpiricalHistogram.multinomial(prof, 20_000, seed=3)
+        p, w = hist.probabilities(), _weights(hist, "poisson")
+        grid = np.linspace(0.0, 1.0, COARSE_POINTS)  # 40 coins a chunk at t = 200
+        batched = np.array(_inner_fits(p, w, grid, 200))
+        for j in range(len(grid)):
+            single = np.array(_inner_fits(p, w, grid[j : j + 1], 200))
+            assert single[:, 0].tobytes() == batched[:, j].tobytes()
+
+    def test_quadratic_form_equals_the_direct_sum(self):
+        counts = np.zeros(41)
+        counts[-1] = 3.0
+        counts[5] = 1.0
+        hist = EmpiricalHistogram(t=20, counts=counts)
+        for abs_a, weighting in ((0.6, "none"), (0.3, "poisson"), (0.97, "none")):
+            p, w = hist.probabilities(), _weights(hist, weighting)
+            rho_even, b_nu, b_al = reference_bases(abs_a, 20)
+            r = p - rho_even
+            sums = np.array([np.sum(w * u * v) for u, v in
+                             ((b_nu, b_nu), (b_nu, b_al), (b_al, b_al), (b_nu, r), (b_al, r))])
+            semi = math.sqrt(1.0 - abs_a * abs_a)
+            theta = np.linspace(0.0, 2.0 * math.pi, 97)[:, None]
+            diff = r - 0.5 * np.cos(theta) * b_nu - semi * np.sin(theta) * b_al
+            direct = np.sum(w * diff * diff, axis=-1)
+            quadratic = np.sum(w * r * r) + _boundary_objective(
+                sums, semi, np.cos(theta[:, 0]), np.sin(theta[:, 0]))
+            assert np.all(np.abs(quadratic - direct) <= 1e-12 * direct)
+
+    @pytest.mark.parametrize("abs_a, t", [(1.0, 20), (1.0, 21), (0.0, 21), (0.0, 20)])
+    def test_edge_coins_keep_the_reference_results(self, abs_a, t):
+        # |a| = 1: collinear bases, a clamped fit on alpha = 0. |a| = 0: odd t
+        # has b_al = 0 (refit on the ellipse); even t is blind, (0, 0).
+        prof = total_density(WalkSpec.from_symmetry(0.55, 0.3, 0.2), t)
+        hist = EmpiricalHistogram.multinomial(prof, 5_000, seed=t)
+        p, w = hist.probabilities(), _weights(hist, "poisson")
+        got = [float(v[0]) for v in _inner_fits(p, w, np.array([abs_a]), t)]
+        ref = reference_inner(p, w, abs_a, reference_bases(abs_a, t))
+        assert got[3] < 2 if ref[3] else got[3] >= 2
+        # A golden section pins a flat minimum's theta only to ~sqrt(eps)
+        assert abs(got[0] - ref[0]) <= 1e-7 and abs(got[1] - ref[1]) <= 1e-7
+        assert abs(got[2] - ref[2]) <= 1e-12 * ref[2]
+        if ref[3]:
+            assert got[:3] == [0.0, 0.0, ref[2]]
+            with pytest.raises(UnderdeterminedError):
+                fit_symmetry_params(hist, abs_a, weighting="poisson")
+
+    def test_fit_result_holds_python_scalars(self):
+        prof = total_density(WalkSpec.from_symmetry(0.7, 0.1, 0.2), 47)
+        for hist, weighting in ((EmpiricalHistogram.from_profile(prof), "none"),
+                                (EmpiricalHistogram.multinomial(prof, 20_000, seed=5), "poisson"),
+                                (EmpiricalHistogram.multinomial(prof, 20_000, seed=6), "none")):
+            res = fit_walk(hist, weighting=weighting)
+            assert [type(v) for v in (res.abs_a_hat, res.nu_hat, res.alpha_hat, res.residual)] \
+                == [float] * 4
+            assert type(res.feasible) is bool

@@ -20,7 +20,14 @@ from qwalk1d import (
     polynomial_table,
     u_by_quadrature,
 )
-from qwalk1d.foundation import PolynomialRow, row_blocks, rows_for
+from qwalk1d.foundation import (
+    ROW_BLOCK,
+    PolynomialRow,
+    _fourier_rows,
+    lattice_row_batch,
+    row_blocks,
+    rows_for,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -313,6 +320,25 @@ class TestLatticeRows:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             lattice_rows(0.5, -1)
+        with pytest.raises(ValueError):
+            lattice_row_batch([0.5], -1)
+
+    @pytest.mark.parametrize("t", [1, 2, 50, 200, 1000])
+    def test_batch_is_bit_identical_to_lattice_rows(self, t):
+        # One coin more than the fit's chunk of ROW_BLOCK sites, both endpoints included
+        coins = np.linspace(0.0, 1.0, ROW_BLOCK // (2 * t + 3) + 2)
+        batch = lattice_row_batch(coins, t)
+        assert batch.shape == (3, len(coins), 2 * t + 3)
+        fourier = _fourier_rows(coins[1:-1, None], t)
+        for j, abs_a in enumerate(coins.tolist()):
+            assert batch[:, j].tobytes() == lattice_rows(abs_a, t).values.tobytes()
+            if 0 < j < len(coins) - 1:
+                assert fourier[j - 1].tobytes() == _fourier_rows(abs_a, t).tobytes()
+
+    def test_batch_rejects_bad_abs_a(self):
+        for abs_a in (math.nan, -0.1, 1.1):
+            with pytest.raises(ValueError):
+                lattice_row_batch(np.array([0.5, abs_a]), 3)
 
     def test_stream_is_bit_identical_to_table(self):
         t_max = 300  # many blocks of rows
