@@ -13,10 +13,11 @@ at once, in chunks of coins that share one batch of lattice rows. A
 rank-deficient or unreachable solution is refit on the boundary of the
 reachable ellipse 4 nu^2 + alpha^2 / (1 - |a|^2) <= 1, where the residual
 is a quadratic form in (cos theta, sin theta) of the same five sums: a
-vectorized scan, then golden section on scalars. The outer problem is a
-one-dimensional search over |a|: the batched coarse grid locates the
-basin, then golden-section refinement runs one coin per step. The
-observation time t is an input, not a fit parameter.
+vectorized scan, then golden section on scalars. The outer search over
+|a| is bracketed by <x^2>, which depends on |a| alone: the inner fit runs
+only on a grid near the |a| that matches the histogram's <x^2>, and
+Brent's method refines the winner (see ``fit_walk``). The observation
+time t is an input, not a fit parameter.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .foundation import ROW_BLOCK, lattice_row_batch
 from .params import UnderdeterminedError, max_alpha, validate_effective
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-COARSE_POINTS = 201
 BRACKET_TOL = 1e-6
+MOMENT_SIGMAS = 6.0  # half-width of the bracket, in units of sigma_m
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,8 @@ class EmpiricalHistogram:
                 f"counts must cover [-t, t]: expected {2 * self.t + 1} entries, "
                 f"got {len(self.counts)}"
             )
+        if not np.all(np.isfinite(self.counts)):
+            raise ValueError("counts must be finite")
         if np.any(np.asarray(self.counts) < 0):
             raise ValueError("counts must be non-negative")
         if float(np.sum(self.counts)) <= 0.0:
@@ -144,6 +147,74 @@ def _golden_section(fn, lo: float, hi: float, tol: float) -> tuple[float, float]
     return lo, hi
 
 
+def _second_moments(abs_a, t: int) -> np.ndarray:
+    """m(|a|) = sum x^2 rho_even, the <x^2> of every walk with that |a|, per |a|."""
+    x = np.arange(-t, t + 1.0)
+    return density_shapes(lattice_row_batch(abs_a, t))[0] @ (x * x)
+
+
+def _law(m: float, t: int) -> float:
+    """|a| - 1 for <x^2> = m under the large-t law m = (1 - sqrt(1 - |a|^2)) t^2.
+
+    Written to keep its relative precision as |a| -> 1.
+    """
+    s = min(max(m / (t * t), 0.0), 1.0)
+    return -(1.0 - s) ** 2 / (1.0 + math.sqrt(s * (2.0 - s)))
+
+
+def _brent(fn, lo: float, x: float, hi: float, fx: float, tol: float) -> tuple[float, float]:
+    """(x, fn(x)) at the minimum of fn on [lo, hi], starting from x, fx = fn(x).
+
+    Brent's method (Algorithms for Minimization without Derivatives, 1973,
+    ch. 5): parabolic steps guarded by golden-section ones, until the
+    minimum is bracketed within tol / 2 of x.
+    """
+    tol1, tol2, v, w, fv, fw, d, e = 0.25 * tol, 0.5 * tol, x, x, fx, fx, 0.0, 0.0
+    while max(x - lo, hi - x) > tol2:
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+        p, q, toward = (-p if q > 0.0 else p), abs(q), (hi if x < 0.5 * (lo + hi) else lo) - x
+        if abs(e) > tol1 and abs(p) < abs(0.5 * q * e) and q * (lo - x) < p < q * (hi - x):
+            e, d = d, p / q
+            if min(x + d - lo, hi - x - d) < tol2:
+                d = math.copysign(tol1, toward)
+        else:
+            e, d = toward, (1.0 - GOLDEN) * toward
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = fn(u)
+        if fu <= fx:
+            lo, hi = (lo, x) if u < x else (x, hi)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            lo, hi = (u, hi) if u < x else (lo, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v in (x, w):
+                v, fv = u, fu
+    return x, fx
+
+
+def _invert(fn, target: float, lo: float, f_lo: float, hi: float, f_hi: float, tol: float) -> float:
+    """Where an increasing fn meets target on [lo, hi], to ~tol; an end if beyond.
+
+    Illinois regula falsi: an end kept twice has its distance from target
+    halved, and no step lands within tol / 2 of an end.
+    """
+    if target <= f_lo or target >= f_hi:
+        return lo if target <= f_lo else hi
+    g_lo, g_hi, side = f_lo - target, f_hi - target, 0
+    while hi - lo > tol:
+        a = min(max((lo * g_hi - hi * g_lo) / (g_hi - g_lo), lo + 0.5 * tol), hi - 0.5 * tol)
+        g = fn(a) - target
+        if g == 0.0:
+            return a
+        if g < 0.0:
+            lo, g_lo, g_hi, side = a, g, g_hi * (0.5 if side < 0 else 1.0), -1
+        else:
+            hi, g_hi, g_lo, side = a, g, g_lo * (0.5 if side > 0 else 1.0), 1
+    return 0.5 * (lo + hi)
+
+
 def _weights(hist: EmpiricalHistogram, weighting: str) -> np.ndarray:
     if weighting not in ("none", "poisson"):
         raise ValueError(f"unknown weighting {weighting!r}")
@@ -214,42 +285,65 @@ def fit_symmetry_params(
 
 
 def fit_walk(
-    hist: EmpiricalHistogram,
-    coarse_points: int = COARSE_POINTS,
-    tol: float = BRACKET_TOL,
-    weighting: str = "none",
+    hist: EmpiricalHistogram, tol: float = BRACKET_TOL, weighting: str = "none"
 ) -> FitResult:
-    """Full (|a|, nu, alpha) fit: coarse |a| grid, then golden section.
+    """Full (|a|, nu, alpha) fit: a second-moment bracket, a grid in it, then Brent.
 
-    Grid ties break toward smaller |a|; grid points where the inner fit
-    is underdetermined fall back to (nu, alpha) = (0, 0) with the
-    even-only residual, so they compete on equal terms without aborting
-    the search.
+    m(|a|) = sum x^2 rho_even rises strictly with |a|, so regula falsi
+    inverts the histogram's m_p = sum x^2 p to a_m (0 or 1 beyond m(0) or
+    t^2). The inner fit runs on the grid k h, h = min(0.005, 1/t), over
+    [a_m - 2h, a_m + 2h] and m^-1([m_p - 6 sigma_m, m_p + 6 sigma_m]), with
+    sigma_m^2 = sum x^4 (p - rho_hat)^2 at the best of the first points;
+    the grid widens while its winner sits on an edge other than 0 or 1.
+    Ties break toward smaller |a|, and underdetermined points compete with
+    (nu, alpha) = (0, 0) and the even-only residual. Brent's method refines
+    between the winner's neighbours to ``tol``; a_m is the last candidate.
     """
     if hist.t < 2:
         raise UnderdeterminedError("need t >= 2 to separate |a| from (nu, alpha)")
-    if coarse_points < 3:
-        raise ValueError("coarse_points must be >= 3")
-    p, w = hist.probabilities(), _weights(hist, weighting)
+    t, p, w = hist.t, hist.probabilities(), _weights(hist, weighting)
+    n, x2 = max(200, t), np.arange(-t, t + 1.0) ** 2  # grid step h = 1/n
+    fits: dict[float, tuple[float, float, float]] = {}  # |a| -> (nu, alpha, residual)
 
-    def inner(abs_a: float) -> tuple[float, float, float]:
-        return tuple(float(v[0]) for v in _inner_fits(p, w, np.array([abs_a]), hist.t)[:3])
+    def residual(*coins: float) -> float:
+        """Inner-fit the coins not seen yet in one batch; the residual at the last."""
+        new = [a for a in coins if a not in fits]
+        if new:
+            batch = _inner_fits(p, w, np.array(new), t)[:3]
+            fits.update(zip(new, zip(*(v.tolist() for v in batch))))
+        return fits[coins[-1]][2]
 
-    grid = np.linspace(0.0, 1.0, coarse_points)
-    nus, alphas, residuals, _ = _inner_fits(p, w, grid, hist.t)
-    i = int(np.argmin(residuals))
-    lo, hi = _golden_section(lambda a: inner(a)[2], grid[max(i - 1, 0)],
-                             grid[min(i + 1, len(grid) - 1)], tol)
-    abs_a_hat = float(0.5 * (lo + hi))
-    nu_hat, alpha_hat, residual = inner(abs_a_hat)
-    # Keep the coarse winner if refinement did not actually improve on it
-    if residual > residuals[i]:
-        abs_a_hat, nu_hat, alpha_hat, residual = (
-            float(grid[i]), float(nus[i]), float(alphas[i]), float(residuals[i]))
+    def grid(k_lo: int, k_hi: int) -> int:  # the best k of k / n, k_lo <= k <= k_hi
+        residual(*(k / n for k in range(k_lo, k_hi + 1)))
+        return min(range(k_lo, k_hi + 1), key=lambda k: fits[k / n][2])
+
+    def law(a: float) -> float:  # near-linear in |a|, so regula falsi steps well
+        return _law(float(_second_moments(a, t)[0]), t)
+
+    m_p = float(p @ x2)
+    l_0, l_p = law(0.0), _law(m_p, t)
+    a_m = _invert(law, l_p, 0.0, l_0, 1.0, 0.0, 1e-14)
+    k_lo, k_hi = max(0, math.ceil(a_m * n - 2.0)), min(n, math.floor(a_m * n + 2.0))
+    a_0 = grid(k_lo, k_hi) / n
+    rho_even, rho_sq, rho_mi = (s[0] for s in density_shapes(lattice_row_batch(a_0, t)))
+    nu, alpha, _ = fits[a_0]
+    rho_hat = rho_even + nu * (2.0 * a_0 * rho_mi - rho_sq) + alpha * rho_mi
+    spread = MOMENT_SIGMAS * math.sqrt(float(np.sum((x2 * (p - rho_hat)) ** 2)))
+    lo = _invert(law, _law(m_p - spread, t), 0.0, l_0, a_m, l_p, 0.25 / n)
+    hi = _invert(law, _law(m_p + spread, t), a_m, l_p, 1.0, 0.0, 0.25 / n)
+    k_lo, k_hi = min(k_lo, math.floor(lo * n)), max(k_hi, math.ceil(hi * n))
+    k = grid(k_lo, k_hi)
+    while 0 < k == k_lo or k == k_hi < n:  # widen past the winning edge by the grid's width
+        width = k_hi - k_lo
+        k_lo, k_hi = (max(0, k_lo - width), k_hi) if k == k_lo else (k_lo, min(n, k_hi + width))
+        k = grid(k_lo, k_hi)
+    x, _ = _brent(residual, max(k - 1, 0) / n, k / n, min(k + 1, n) / n, fits[k / n][2], tol)
+    best = a_m if residual(a_m) < fits[x][2] else x
+    nu_hat, alpha_hat, residual_hat = fits[best]
     return FitResult(
-        abs_a_hat=abs_a_hat,
+        abs_a_hat=best,
         nu_hat=nu_hat,
         alpha_hat=alpha_hat,
-        residual=residual,
-        feasible=validate_effective(nu_hat, alpha_hat, abs_a_hat),
+        residual=residual_hat,
+        feasible=validate_effective(nu_hat, alpha_hat, best),
     )

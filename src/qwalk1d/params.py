@@ -160,11 +160,18 @@ class WalkSpec:
         constraints, so the file only pins the free quantities.
         """
         raw = json.loads(text)
-        a_abs = float(raw["a_abs"])
-        c0_abs = float(raw["c0_abs"])
-        phases = {key: float(raw.get(key, 0.0))
-                  for key in ("a_arg", "b_arg", "k", "c0_arg", "c1_arg")}
-        _require_finite(a_abs=a_abs, c0_abs=c0_abs, **phases)
+        if not isinstance(raw, dict):
+            raise ValueError(f"walk spec is not a JSON object (got a {type(raw).__name__})")
+        values = {}
+        for key in ("a_abs", "c0_abs", "a_arg", "b_arg", "k", "c0_arg", "c1_arg"):
+            if key in ("a_abs", "c0_abs") and key not in raw:
+                raise ValueError(f"walk spec lacks the key {key!r}")
+            try:
+                values[key] = float(raw.get(key, 0.0))
+            except (TypeError, ValueError):
+                raise ValueError(f"walk spec {key} = {raw[key]!r} is not a number") from None
+        a_abs, c0_abs = values.pop("a_abs"), values.pop("c0_abs")
+        _require_finite(a_abs=a_abs, c0_abs=c0_abs, **values)
         if not 0.0 <= a_abs <= 1.0:
             raise NormalizationError(f"a_abs = {a_abs} outside [0, 1]")
         if not 0.0 <= c0_abs <= 1.0:
@@ -172,11 +179,11 @@ class WalkSpec:
         b_abs = math.sqrt(max(0.0, 1.0 - a_abs * a_abs))
         c1_abs = math.sqrt(max(0.0, 1.0 - c0_abs * c0_abs))
         return cls(
-            a=a_abs * cmath.exp(1j * phases["a_arg"]),
-            b=b_abs * cmath.exp(1j * phases["b_arg"]),
-            k=phases["k"],
-            c0=c0_abs * cmath.exp(1j * phases["c0_arg"]),
-            c1=c1_abs * cmath.exp(1j * phases["c1_arg"]),
+            a=a_abs * cmath.exp(1j * values["a_arg"]),
+            b=b_abs * cmath.exp(1j * values["b_arg"]),
+            k=values["k"],
+            c0=c0_abs * cmath.exp(1j * values["c0_arg"]),
+            c1=c1_abs * cmath.exp(1j * values["c1_arg"]),
         )
 
     @classmethod

@@ -237,6 +237,16 @@ class TestFit:
             assert type(payload["feasible"]) is bool
             assert abs(payload["abs_a_hat"] - abs_a) < 0.05
 
+    @pytest.mark.parametrize("count", ["nan", "inf", "-inf"])
+    def test_non_finite_count_is_bad_input(self, capsys, tmp_path, count):
+        hist_file = tmp_path / "hist.csv"
+        hist_file.write_text(f"x,count\n-10,3\n0,{count}\n10,5\n")
+        code, out, err = run_cli(capsys, ["fit", "--input", str(hist_file), "--t", "10"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "finite" in err
+
     def test_missing_file_is_bad_input(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, ["fit", "--input", str(tmp_path / "nope.csv"), "--t", "5"]
@@ -379,6 +389,21 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("text, problem", [
+        ("[1, 2]", "not a JSON object"),
+        ("{}", "a_abs"),
+        ('{"a_abs": 0.5}', "c0_abs"),
+        ('{"a_abs": null, "c0_abs": 1}', "a_abs = None is not a number"),
+    ])
+    def test_bad_spec_file(self, capsys, tmp_path, text, problem):
+        spec_file = tmp_path / "walk.json"
+        spec_file.write_text(text)
+        code, out, err = run_cli(capsys, ["evolve", "--spec", str(spec_file), "--t", "3"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: walk spec") and err.count("\n") == 1
+        assert problem in err
 
     def test_zero_denominator(self, capsys):
         code, out, err = run_cli(

@@ -16,18 +16,24 @@ from qwalk1d import (
     foundation_table,
     max_alpha,
     odd_components,
+    second_moment,
     total_density,
     validate_effective,
 )
+from qwalk1d import estimate
 from qwalk1d.estimate import (
-    COARSE_POINTS,
     _boundary_objective,
+    _brent,
     _golden_section,
     _inner_fits,
+    _invert,
+    _law,
+    _second_moments,
     _weights,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+REFERENCE_POINTS = 201  # the full-range grid of step 0.005 the reference tests scan
 
 
 def profile_histogram(abs_a, nu, alpha, t):
@@ -43,6 +49,11 @@ class TestHistogram:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             EmpiricalHistogram(t=1, counts=np.array([0.5, -0.1, 0.6]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_counts_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            EmpiricalHistogram(t=1, counts=np.array([0.5, bad, 0.6]))
 
     def test_zero_mass_rejected(self):
         with pytest.raises(ValueError):
@@ -163,11 +174,6 @@ class TestOuterFit:
         with pytest.raises(UnderdeterminedError):
             fit_walk(hist)
 
-    def test_coarse_points_validated(self):
-        hist = profile_histogram(0.5, 0.1, 0.0, 10)
-        with pytest.raises(ValueError):
-            fit_walk(hist, coarse_points=2)
-
     def test_multinomial_noise_stays_sane(self):
         prof = total_density(WalkSpec.from_symmetry(0.55, 0.25, -0.1), 40)
         hist = EmpiricalHistogram.multinomial(prof, 10_000, seed=123)
@@ -184,12 +190,127 @@ class TestOuterFit:
         assert errs[0] < 0.1 and errs[1] < 0.15 and errs[2] < 0.2
         assert res.feasible
 
+    @pytest.mark.parametrize("t, fits", [(1000, 40), (2000, 12)])
+    def test_wide_counted_draws_at_large_t_reach_the_truth(self, t, fits):
+        # The wide draw at large t, where a fixed 0.005 grid stopped in a
+        # local minimum (at draws 39 of t = 1000, and 0 and 10 of t = 2000).
+        rng = np.random.default_rng(1)
+        for k in range(fits):
+            abs_a, nu = float(rng.uniform(0.0, 1.0)), float(rng.uniform(-0.5, 0.5))
+            alpha = float(rng.uniform(-1.0, 1.0)) * max_alpha(abs_a, nu)
+            prof = total_density(WalkSpec.from_symmetry(abs_a, nu, alpha), t)
+            hist = EmpiricalHistogram.multinomial(prof, 20_000, seed=int(rng.integers(2**32)))
+            res = fit_walk(hist, weighting="poisson")
+            w = _weights(hist, "poisson")
+            truth = float(np.sum(w * (hist.probabilities() - prof.rho) ** 2))
+            assert res.residual <= truth * (1.0 + 1e-6) + 1e-9, (k, abs_a, res)
+
+
+def moment_coin(m, t):
+    """|a| with m(|a|) = m, as fit_walk inverts it."""
+    def law(a):
+        return _law(float(_second_moments(a, t)[0]), t)
+
+    return _invert(law, _law(m, t), 0.0, law(0.0), 1.0, 0.0, 1e-14)
+
+
+def record_coins(monkeypatch):
+    """The |a| batches fit_walk hands to _inner_fits, one list per call."""
+    batches = []
+
+    def recording(p, w, abs_a, t):
+        batches.append(abs_a.tolist())
+        return _inner_fits(p, w, abs_a, t)
+
+    monkeypatch.setattr(estimate, "_inner_fits", recording)
+    return batches
+
+
+class TestMomentBracket:
+    MOMENT_TIMES = list(range(2, 81)) + [100, 200, 500, 1000, 2000]
+
+    @pytest.mark.parametrize("t", MOMENT_TIMES)
+    def test_second_moment_rises_strictly_with_abs_a(self, t):
+        grid = np.linspace(0.0, 1.0, 2001)
+        m = np.concatenate([_second_moments(chunk, t) for chunk in np.array_split(grid, 8)])
+        assert np.all(np.diff(m) > 0.0)
+        assert m[-1] == t * t
+
+    @pytest.mark.parametrize("t", [2, 3, 10, 51, 200, 1000])
+    def test_second_moment_matches_moments_module(self, t):
+        grid = np.linspace(0.0, 1.0, 41)
+        m = _second_moments(grid, t)
+        ref = np.array([second_moment(float(a), t) for a in grid])
+        assert np.max(np.abs(m - ref)) <= 1e-12 * t * t
+
+    @pytest.mark.parametrize("t", [2, 7, 50, 200, 1000])
+    def test_inversion_recovers_abs_a_from_a_noiseless_moment(self, t):
+        for abs_a in (0.0, 0.05, 0.15, 0.5, 0.77, 0.92, 0.999, 1.0):
+            m = float(_second_moments(abs_a, t)[0])
+            assert abs(moment_coin(m, t) - abs_a) <= 1e-12
+        assert moment_coin(-1.0, t) == 0.0 and moment_coin(t * t + 1.0, t) == 1.0
+
+    def test_bracket_holds_the_generating_abs_a(self, monkeypatch):
+        batches = record_coins(monkeypatch)
+        rng = np.random.default_rng(21)
+        for k in range(210):
+            t = (50, 100, 200)[k % 3]
+            abs_a, nu = float(rng.uniform(0.0, 1.0)), float(rng.uniform(-0.5, 0.5))
+            alpha = float(rng.uniform(-1.0, 1.0)) * max_alpha(abs_a, nu)
+            prof = total_density(WalkSpec.from_symmetry(abs_a, nu, alpha), t)
+            hist = EmpiricalHistogram.multinomial(prof, 20_000, seed=k)
+            batches.clear()
+            fit_walk(hist, weighting="poisson")
+            # Every coin fit_walk tries lies inside the grid it scans
+            coins = [a for batch in batches for a in batch]
+            assert min(coins) <= abs_a <= max(coins), (k, abs_a, min(coins), max(coins))
+
+    def test_edge_winner_widens_the_grid(self, monkeypatch):
+        # With no moment spread the grid is only a_m +- 2h; few draws put the
+        # residual's minimum beyond it, so the winner lands on an edge.
+        prof = total_density(WalkSpec.from_symmetry(0.6, 0.3, -0.2), 200)
+        hist = EmpiricalHistogram.multinomial(prof, 300, seed=2)
+        full = fit_walk(hist, weighting="poisson")
+        monkeypatch.setattr(estimate, "MOMENT_SIGMAS", 0.0)
+        batches = record_coins(monkeypatch)
+        narrow = fit_walk(hist, weighting="poisson")
+        assert len(batches[0]) == 4 and len(batches[1]) == 3  # the a_m +- 2h grid, then one step out
+        assert narrow.residual <= full.residual * (1.0 + 1e-12)
+
 
 class TestGoldenSection:
     def test_quadratic_minimum(self):
         lo, hi = _golden_section(lambda x: (x - 0.37) ** 2, 0.0, 1.0, 1e-9)
         assert hi - lo < 1e-8
         assert abs((lo + hi) / 2 - 0.37) < 1e-6
+
+
+class TestBrent:
+    def test_quadratic_minimum_in_few_steps(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return (x - 0.37) ** 2
+
+        x, fx = _brent(fn, 0.0, 0.5, 1.0, fn(0.5), 1e-9)
+        assert abs(x - 0.37) <= 1e-9 and fx == (x - 0.37) ** 2
+        assert len(calls) <= 10  # a parabola is exact after the first fit
+
+    @pytest.mark.parametrize("start", [0.0, 0.2, 0.9, 1.0])
+    def test_agrees_with_golden_section(self, start):
+        def fn(x):
+            return math.cosh(3.0 * (x - 0.613)) - 0.4 * x
+
+        x_min = 0.613 + math.asinh(0.4 / 3.0) / 3.0
+        lo, hi = _golden_section(fn, 0.0, 1.0, 1e-8)
+        x, _ = _brent(fn, 0.0, start, 1.0, fn(start), 1e-8)
+        assert abs(0.5 * (lo + hi) - x_min) <= 5e-9
+        assert abs(x - x_min) <= 5e-9
+
+    def test_minimum_on_the_bracket_edge(self):
+        x, _ = _brent(lambda x: x, 0.0, 0.005, 0.01, 0.005, 1e-6)
+        assert 0.0 <= x <= 5e-7
 
 
 def reference_boundary(r, b_nu, b_al, abs_a, w):
@@ -238,7 +359,7 @@ def reference_inner(p, w, abs_a, bases):
 
 @functools.cache
 def grid_bases(t):
-    return [reference_bases(float(abs_a), t) for abs_a in np.linspace(0.0, 1.0, COARSE_POINTS)]
+    return [reference_bases(float(abs_a), t) for abs_a in np.linspace(0.0, 1.0, REFERENCE_POINTS)]
 
 
 def fit_inputs():
@@ -265,7 +386,7 @@ class TestBatchedInnerFit:
         # the reference's table rows differ from the kernel's by ~1e-15.
         for hist, weighting in fit_inputs():
             p, w = hist.probabilities(), _weights(hist, weighting)
-            grid = np.linspace(0.0, 1.0, COARSE_POINTS)
+            grid = np.linspace(0.0, 1.0, REFERENCE_POINTS)
             _, _, res, informative = _inner_fits(p, w, grid, hist.t)
             ref = np.array([reference_inner(p, w, float(a), bases)
                             for a, bases in zip(grid, grid_bases(hist.t))])
@@ -277,7 +398,7 @@ class TestBatchedInnerFit:
         prof = total_density(WalkSpec.from_symmetry(0.63, 0.2, -0.1), 200)
         hist = EmpiricalHistogram.multinomial(prof, 20_000, seed=3)
         p, w = hist.probabilities(), _weights(hist, "poisson")
-        grid = np.linspace(0.0, 1.0, COARSE_POINTS)  # 40 coins a chunk at t = 200
+        grid = np.linspace(0.0, 1.0, REFERENCE_POINTS)  # 40 coins a chunk at t = 200
         batched = np.array(_inner_fits(p, w, grid, 200))
         for j in range(len(grid)):
             single = np.array(_inner_fits(p, w, grid[j : j + 1], 200))
