@@ -33,7 +33,6 @@ from .foundation import (
     chebyshev_u,
     foundation_polynomial,
     foundation_table,
-    iter_lattice_rows,
     lattice_rows,
     polynomial_row_recursion,
     polynomial_table,
@@ -119,7 +118,6 @@ __all__ = [
     "foundation_polynomial",
     "foundation_table",
     "half_trace",
-    "iter_lattice_rows",
     "lattice_rows",
     "max_alpha",
     "moment_curves",

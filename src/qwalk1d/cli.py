@@ -49,12 +49,16 @@ def fmt(value: float) -> str:
 
 
 def write_output(text: str, path: str | None) -> None:
+    """Write to stdout, or through any symlink to ``path``: a regular file is
+    replaced atomically, anything else (a FIFO, a device) written in place."""
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    target = Path(path)
-    if target.parent != Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
+    target = Path(path).resolve()
+    if target.exists() and not target.is_file():
+        target.write_text(text)
+        return
+    target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_name(target.name + ".tmp")
     tmp.write_text(text)
     tmp.replace(target)
@@ -234,6 +238,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.kind in ("moments", "variance"):
+        if args.grid < 1:
+            raise ValueError(f"--grid must be >= 1, got {args.grid}")
         grid = np.linspace(0.0, 1.0, args.grid)
         t2 = np.arange(1, args.t + 1, dtype=float)[:, None] ** 2
         if args.kind == "moments":
@@ -368,8 +374,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(fold_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (
         NormalizationError,

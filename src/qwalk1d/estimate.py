@@ -34,6 +34,8 @@ from .params import UnderdeterminedError, max_alpha, validate_effective
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 BRACKET_TOL = 1e-6
 MOMENT_SIGMAS = 6.0  # half-width of the bracket, in units of sigma_m
+# Bases with det <= COLLINEAR_EPS g_nn g_aa are collinear to rounding (det errs by ~eps g_nn g_aa)
+COLLINEAR_EPS = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -245,8 +247,9 @@ def _inner_fits(
         sums = np.array([np.sum(w * u * v, axis=-1) for u, v in pairs])
         g_nn, g_na, g_aa, h_n, h_a = sums
         det = g_nn * g_aa - g_na * g_na
-        # rank 2 iff the design's singular values satisfy s_min > rcond s_max
-        full = det > (rcond * 0.5 * (g_nn + g_aa + np.hypot(g_nn - g_aa, 2.0 * g_na))) ** 2
+        # rank 2 iff s_min > rcond s_max for the design and the bases are not collinear
+        full = (det > (rcond * 0.5 * (g_nn + g_aa + np.hypot(g_nn - g_aa, 2.0 * g_na))) ** 2) & (
+            det > COLLINEAR_EPS * g_nn * g_aa)
         det = np.where(full, det, 1.0)
         nu, alpha = (g_aa * h_n - g_na * h_a) / det, (g_nn * h_a - g_na * h_n) / det
         informative = np.count_nonzero((b_nu != 0.0) | (b_al != 0.0), axis=-1)

@@ -15,12 +15,13 @@ one time t. ``lattice_rows`` computes them in O(t log t) time and O(t)
 memory by sampling U_t(|a| cos p) and inverting with one real FFT; it
 is the default route, handed out by ``rows_for``. ``lattice_row_batch``
 gives the same rows for many |a| at one t from one FFT over an |a|
-column, for the fit's grid of coins. Callers that sweep all
-times use the recursion: ``row_blocks`` streams its rows in read-only
-blocks of ~2^14 values, for many |a| at once, and ``iter_lattice_rows``
-hands out per-t windows into them. Three independent routes check the
+column, for the fit's grid of coins. Three independent routes check the
 kernel: the full O(t^2) table recursion (float), the explicit integer
 power series, and direct quadrature.
+
+Next to the origin, u_{2k}(0) = P_k(z) (Legendre) and u_{2k+1}(1) =
+|a| P_k^{(0,1)}(z) (Jacobi), z = 2|a|^2 - 1; ``moments`` sums these for
+all-times moments, so no caller needs the rows of every time.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +41,8 @@ from .params import ResourceLimitError
 # not against overflow (Python integers are unbounded).
 MAX_EXACT_T = 10_000
 
-# Values per block of streamed rows; 2^16 measured slower and raised peak RSS.
+# Values per array when many |a| are processed in chunks (the fit's inner
+# fits, the moment curves): it keeps the working set of a chunk near 128 kB.
 ROW_BLOCK = 1 << 14
 
 
@@ -217,47 +219,6 @@ def lattice_rows(abs_a: float, t: int) -> LatticeRows:
     values = lattice_row_batch(abs_a, t)[:, 0]
     values.flags.writeable = False
     return LatticeRows(abs_a=float(abs_a), t_max=t, values=values)
-
-
-def row_blocks(abs_a, t_max: int) -> Iterator[tuple[slice, int, np.ndarray]]:
-    """Rows u_{-1} .. u_{t_max} on [-(t_max+1), t_max+1] by the recursion, in blocks.
-
-    Yields ``(cols, first, values)`` with read-only ``values[i, j]`` = u_{first+i-2}
-    at |a| = ``ravel(abs_a)[cols][j]``, bit-identical to ``foundation_table``'s
-    row; consecutive blocks of a chunk share two rows. The |a| of a chunk
-    advance together. Chunks keep a block within ~max(ROW_BLOCK, 3 width)
-    doubles, so memory is O(t_max) for any number of |a|.
-    """
-    coins = np.asarray(abs_a, dtype=float).reshape(-1, 1)
-    for value in coins.flat:
-        _check_abs_a(value)
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
-    width = 2 * t_max + 3
-    chunk = max(1, ROW_BLOCK // (3 * width))
-    for lo in range(0, len(coins), chunk):
-        coin = coins[lo : lo + chunk]
-        step = max(1, ROW_BLOCK // (len(coin) * width) - 2)
-        below, mid = np.zeros((2, len(coin), width))
-        mid[:, t_max + 1] = 1.0
-        for first in range(1, t_max + 1, step):
-            values = np.zeros((min(step, t_max + 1 - first) + 2, len(coin), width))
-            values[0], values[1] = below, mid
-            for i in range(2, len(values)):
-                _recursion_step(values[i], values[i - 1], values[i - 2], coin)
-            values.flags.writeable = False
-            yield slice(lo, lo + len(coin)), first, values
-            below, mid = values[-2], values[-1]
-
-
-def iter_lattice_rows(abs_a: float, t_max: int) -> Iterator[LatticeRows]:
-    """Windows for t = 1 .. t_max, views into ``row_blocks``: one step per t.
-
-    Each equals the rows of ``foundation_table(abs_a, t_max)`` bit for bit.
-    """
-    for _, first, values in row_blocks(abs_a, t_max):
-        for i in range(len(values) - 2):
-            yield LatticeRows(abs_a=float(abs_a), t_max=first + i, values=values[i : i + 3, 0])
 
 
 def rows_for(abs_a: float, t: int, table: FoundationTable | None = None) -> FoundationTable:

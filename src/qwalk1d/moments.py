@@ -13,12 +13,30 @@ with S[.] a lattice sum and
 
 Per-t float paths read the three rows u_{t-2}, u_{t-1}, u_t from
 ``foundation.rows_for``: the O(t log t) FFT window unless a prebuilt
-table or window is passed. ``moment_curves`` is the all-times route:
-block sums over the recursion rows, for many |a| at once. An exact path
-(Fraction arithmetic over integer coefficient rows) backs the identity
-tests at small t. The
-odd-moment coefficient signs follow the same oracle-fixed convention as
-the densities; the published variant (alpha subtracted) sits behind
+table or window is passed. An exact path (Fraction arithmetic over
+integer coefficient rows) backs the identity tests at small t.
+
+``moment_curves`` gives <x> and <x^2> at every t <= T in O(T) per coin
+from two three-term recurrences and cumulative sums, with no lattice
+rows. Write z = 2|a|^2 - 1, b^2 = 1 - |a|^2, L_k = P_k(z) = u_{2k}(0)
+(Legendre), J_k = P_k^{(0,1)}(z) = u_{2k+1}(1) / |a| (Jacobi),
+Lam_s = sum_{k<=s} L_k, D_t = sum_{s<t} Lam_s, E_t = sum_{s<t} D_s and
+C_t = sum_{s<t} sum_{k<s} J_k. Then, for n = 0,
+
+    <x^2> = t^2 - 4 b^2 E_t,   S_sq = Lam_{t-1},
+    S_mi  = |a| (D_t - C_t) = (t + Lam_{t-1} - 2 b^2 D_t) / (2 |a|).
+
+S_sq = Lam_{t-1} is proved (evenness, Parseval, U_n^2 = sum_{k<=n} U_{2k});
+the other two are verified, not proved: they hold exactly in Fraction
+arithmetic for t <= 40 at five |a| (tests/test_moments.py). Below
+|a| = 1/2, S_mi takes the Jacobi form, which has no division by a small
+|a|; from 1/2 on the Legendre form, which avoids cancelling D_t against
+C_t near |a| = 1. As Lam_s -> 1/(2b) they give the laws <x^2>/t^2 -> 1 - b
+(Nayak & Vishwanath, quant-ph/0010117) and <x>/t -> (2 nu + alpha/|a|)
+(1 - b) (Konno, J. Math. Soc. Japan 57 (2005) 1179).
+
+The odd-moment coefficient signs follow the same oracle-fixed convention
+as the densities; the published variant (alpha subtracted) sits behind
 ``paper_signs=True``.
 """
 
@@ -30,14 +48,19 @@ from fractions import Fraction
 import numpy as np
 
 from .density import DensityProfile
-from .foundation import FoundationTable, polynomial_table, row_blocks, rows_for
+from .foundation import ROW_BLOCK, FoundationTable, polynomial_table, rows_for
 from .params import (
     EffectiveParams,
     InfeasibleParamsError,
+    ResourceLimitError,
     WalkSpec,
     derive_effective,
     validate_effective,
 )
+
+# (t, |a|) points per ``moment_curves`` call. At the limit the curves take 16 MB;
+# ``moments --all-times`` writes 143 MB of CSV and peaks at ~0.76 GB RSS.
+MAX_CURVE_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -82,29 +105,21 @@ def normalization_identity(
     return abs(sq - cross - 1.0)
 
 
-def normalization_identity_exact(abs_a: Fraction, t: int) -> Fraction:
-    """The same residual in exact rational arithmetic.
+def _exact_lattice(abs_a: Fraction, t: int):
+    """u(s, x) = u_s(|a| : x) for s <= t, exact at a rational |a|, zero off the support."""
+    rows = polynomial_table(t)
+    return lambda s, x: (rows[s][(s - abs(x)) // 2].evaluate(abs_a)
+                         if 0 <= s and abs(x) <= s and (x - s) % 2 == 0 else 0)
 
-    Expands both lattice sums through the integer coefficient rows, i.e.
-    sum_j [P^{t-1}_{t-2j-1}]^2 - sum_j P^t_{t-2j-2} P^{t-2}_{t-2j-2} - 1,
-    evaluated at a rational |a|. Returns an exact Fraction (zero when the
-    identity holds).
-    """
+
+def normalization_identity_exact(abs_a: Fraction, t: int) -> Fraction:
+    """The same residual in exact rational arithmetic, through the integer
+    coefficient rows at a rational |a| (an exact zero when the identity holds)."""
     if t < 2:
         raise ValueError(f"t must be >= 2, got {t}")
-    rows = polynomial_table(t)
-    mid = {r.k: r for r in rows[t - 1]}
-    top = {r.k: r for r in rows[t]}
-    low = {r.k: r for r in rows[t - 2]}
-    sq = Fraction(0)
-    for j in range(t):
-        k = abs(t - 2 * j - 1)
-        sq += mid[k].evaluate(abs_a) ** 2
-    cross = Fraction(0)
-    for j in range(t - 1):
-        k = abs(t - 2 * j - 2)
-        cross += top[k].evaluate(abs_a) * low[k].evaluate(abs_a)
-    return sq - cross - 1
+    u = _exact_lattice(abs_a, t)
+    terms = (u(t - 1, x) ** 2 - u(t, x) * u(t - 2, x) for x in range(-t, t + 1))
+    return sum(terms, Fraction(0)) - 1
 
 
 def second_moment(abs_a: float, t: int, table: FoundationTable | None = None) -> float:
@@ -118,28 +133,12 @@ def second_moment(abs_a: float, t: int, table: FoundationTable | None = None) ->
 
 
 def second_moment_exact(abs_a: Fraction, t: int) -> Fraction:
-    """<x^2> in exact rational arithmetic (small t identity checks).
-
-    The u_{t-1}^2 sums live on the parity sublattice of t-1, the
-    u_t u_{t-2} cross sum on that of t; the loops respect this.
-    """
+    """<x^2> in exact rational arithmetic (small t identity checks)."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    rows = polynomial_table(t)
-    mid = {r.k: r for r in rows[t - 1]}
-    top = {r.k: r for r in rows[t]}
-    low = {r.k: r for r in rows[t - 2]} if t >= 2 else {}
-    total = Fraction(0)
-    for x in range(-(t - 1), t):
-        if (x - (t - 1)) % 2 != 0:
-            continue
-        v = mid[abs(x)].evaluate(abs_a)
-        total += (Fraction(x * x) + 1) * v * v
-    for x in range(-(t - 2), t - 1):
-        if (x - t) % 2 != 0:
-            continue
-        total -= Fraction(x * x) * top[abs(x)].evaluate(abs_a) * low[abs(x)].evaluate(abs_a)
-    return total
+    u = _exact_lattice(abs_a, t)
+    return sum(((x * x + 1) * u(t - 1, x) ** 2 - x * x * u(t, x) * u(t - 2, x)
+                for x in range(-t, t + 1)), Fraction(0))
 
 
 def _odd_sums(table: FoundationTable, t: int, n: int):
@@ -198,19 +197,9 @@ def first_moment_exact(
     """<x> in exact rational arithmetic via the coefficient rows."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    rows = polynomial_table(t)
-    mid = {r.k: r for r in rows[t - 1]}
-    top = {r.k: r for r in rows[t]}
-    s_sq = Fraction(0)
-    s_mi = Fraction(0)
-    for j in range(t):
-        x = t - 2 * j
-        k = abs(x - 1)
-        if k > t - 1:
-            continue
-        mid_val = mid[k].evaluate(abs_a)
-        s_sq += x * mid_val**2
-        s_mi += x * top[abs(x)].evaluate(abs_a) * mid_val
+    u = _exact_lattice(abs_a, t)
+    s_sq = sum((x * u(t - 1, x - 1) ** 2 for x in range(-t, t + 1)), Fraction(0))
+    s_mi = sum((x * u(t, x) * u(t - 1, x - 1) for x in range(-t, t + 1)), Fraction(0))
     alpha_sign = -1 if paper_signs else 1
     return (4 * abs_a * nu + 2 * alpha_sign * alpha) * s_mi - 2 * nu * s_sq
 
@@ -254,12 +243,34 @@ def moment_report(
     )
 
 
+def _legendre_jacobi(z, leg, jac) -> None:
+    """Fill leg[k] = P_k(z), jac[k] = P_k^{(0,1)}(z), k < len(leg), by recurrence in
+    integer coefficients: a Fraction z runs exactly, an array of z by rows."""
+    one = z * 0 + 1
+    leg[:2], jac[:2] = [one, z][: len(leg)], [one, (3 * z - 1) / 2][: len(leg)]
+    for k in range(2, len(leg)):
+        leg[k] = ((2 * k - 1) * z * leg[k - 1] - (k - 1) * leg[k - 2]) / k
+        jac[k] = (((4 * k * k - 1) * z - 1) * jac[k - 1] - (k - 1) * (2 * k + 1) * jac[k - 2]) / (
+            (k + 1) * (2 * k - 1))
+
+
+def _cumulative_sums(leg: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(Lam_{t-1}, D_t, E_t, C_t) for t = 1 .. n from the columns L_k, J_k, k < n."""
+    lam = np.cumsum(leg, axis=0)
+    d = np.cumsum(lam, axis=0)
+    e, c = np.zeros_like(d), np.zeros_like(d)
+    e[1:] = np.cumsum(d[:-1], axis=0)
+    c[1:] = np.cumsum(np.cumsum(jac[:-1], axis=0), axis=0)
+    return lam, d, e, c
+
+
 def moment_curves(abs_a, nu: float, alpha: float, t_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(<x>, <x^2>) for t = 1 .. t_max, each of shape (t_max,) + shape(abs_a).
 
-    All |a| share (nu, alpha) and advance in one recursion; each block of
-    ``row_blocks`` gives every moment it covers by matrix-vector products.
-    The sums run in another order than in ``moment_report``, its oracle.
+    All |a| share (nu, alpha). The module docstring's closed forms, within
+    1e-12 t and 1e-12 t^2 of per-t ``moment_report``: the recurrences run
+    once for all coins, the sums in chunks of ~ROW_BLOCK / 4 values. Sizes
+    above ``MAX_CURVE_POINTS`` raise ``ResourceLimitError`` before allocating.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
@@ -267,14 +278,27 @@ def moment_curves(abs_a, nu: float, alpha: float, t_max: int) -> tuple[np.ndarra
     bad = [a for a in coins if not validate_effective(nu, alpha, float(a))]
     if bad and t_max:
         raise InfeasibleParamsError(f"(nu={nu}, alpha={alpha}, abs_a={bad[0]}) is not reachable")
+    if t_max * coins.size > MAX_CURVE_POINTS:
+        raise ResourceLimitError(f"t_max = {t_max} for {coins.size} coins exceeds "
+                                 f"{MAX_CURVE_POINTS} moment points")
     mean, second = np.zeros((2, t_max, coins.size))
-    x = np.arange(-(t_max + 1), t_max + 2, dtype=float)
-    x2 = x * x
-    for cols, first, v in row_blocks(coins, t_max):
-        mid, left, times = v[1:-1], v[1:-1, :, :-1], slice(first - 1, first + len(v) - 3)
-        second[times, cols] = (mid * mid) @ (x2 + 1.0) - (v[2:] * v[:-2]) @ x2
-        s_mi, s_sq = (v[2:, :, 1:] * left) @ x[1:], (left * left) @ x[1:]
-        mean[times, cols] = (4.0 * coins[cols] * nu + 2.0 * alpha) * s_mi - 2.0 * nu * s_sq
+    z = 2.0 * coins * coins - 1.0
+    if coins.size == 1:  # Python floats step far faster than one-element arrays
+        leg, jac = [0.0] * t_max, [0.0] * t_max
+        _legendre_jacobi(float(z[0]), leg, jac)
+        mean[:, 0], second[:, 0] = leg, jac
+    elif t_max:
+        _legendre_jacobi(z, mean, second)
+    t = np.arange(1, t_max + 1, dtype=float)[:, None]
+    chunk = max(1, ROW_BLOCK // max(4 * t_max, 1))
+    for lo in range(0, coins.size, chunk):
+        cols, a = slice(lo, lo + chunk), coins[lo : lo + chunk]
+        lam, d, e, c = _cumulative_sums(mean[:, cols], second[:, cols])
+        b2 = (1.0 - a) * (1.0 + a)
+        small = a < 0.5
+        k = np.where(small, 2.0 * a * (d - c), (t + lam - 2.0 * b2 * d) / np.where(small, 1.0, a))
+        mean[:, cols] = 2.0 * nu * (t - 2.0 * b2 * d) + alpha * k
+        second[:, cols] = t * t - 4.0 * b2 * e
     shape = (t_max,) + np.shape(abs_a)
     return mean.reshape(shape), second.reshape(shape)
 

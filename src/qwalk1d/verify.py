@@ -59,6 +59,8 @@ def run_verification(
     paper_signs: bool = False,
 ) -> dict:
     """Execute the full check battery; returns a JSON-ready report."""
+    if n_specs < 0:
+        raise ValueError(f"n_specs must be >= 0, got {n_specs}")
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     specs = [random_spec(rng) for _ in range(n_specs)]

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 import qwalk1d
 from qwalk1d import WalkSpec, max_alpha, normalized_second
 from qwalk1d.cli import main
+from qwalk1d.moments import MAX_CURVE_POINTS
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -89,6 +91,35 @@ class TestEvolve:
         assert target.exists()
         assert target.read_text().startswith("x,re_psi0")
         assert not list(target.parent.glob("*.tmp"))
+
+    def test_output_goes_through_a_symlink(self, capsys, tmp_path):
+        target, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        dangling = tmp_path / "dangling.csv"
+        dangling.symlink_to(tmp_path / "made" / "new.csv")
+        for path in (link, dangling):
+            argv = ["evolve", "--hadamard", "--t", "2", "--output", str(path)]
+            code, _, _ = run_cli(capsys, argv)
+            assert code == 0
+            assert path.is_symlink()
+            assert path.read_text().startswith("x,re_psi0")
+        assert target.read_text().startswith("x,re_psi0")
+        assert sorted(p.name for p in tmp_path.rglob("*.tmp")) == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_output_is_written_into_a_fifo(self, capsys, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        # The reader opens first, so the CLI's open of the FIFO cannot block for long.
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code, _, _ = run_cli(capsys, ["evolve", "--hadamard", "--t", "2", "--output", str(fifo)])
+        reader.join(timeout=10)
+        assert code == 0
+        assert received and received[0].startswith("x,re_psi0")
+        assert fifo.is_fifo()
 
     def test_spec_file_input(self, capsys, tmp_path):
         spec_file = tmp_path / "walk.json"
@@ -267,6 +298,13 @@ class TestVerify:
         rep2.pop("elapsed_seconds")
         assert rep1 == rep2
 
+    def test_negative_spec_count_is_bad_input(self, capsys):
+        # Decision: a negative count is bad input, not "only the fixed specs".
+        code, out, err = run_cli(capsys, ["verify", "--n-specs", "-1"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         import qwalk1d.cli as cli
 
@@ -324,7 +362,7 @@ class TestSweep:
         expected = [(t, abs_a) for abs_a in np.linspace(0.0, 1.0, 6) for t in range(1, 41)]
         assert [(int(r[0]), float(r[1])) for r in rows] == expected
         for (t, abs_a), row in zip(expected, rows):
-            # Block sums vs per-t sums: |d second| <= 1e-12 t^2.
+            # Closed forms vs per-t sums: |d second| <= 1e-12 t^2.
             assert abs(float(row[2]) - normalized_second(float(abs_a), t)) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["moments", "variance"])
@@ -332,6 +370,15 @@ class TestSweep:
         code, out, _ = run_cli(capsys, ["sweep", "--kind", kind, "--t", "0", "--grid", "3"])
         assert code == 0
         assert len(out.splitlines()) == 1
+
+    @pytest.mark.parametrize("kind", ["moments", "variance"])
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    def test_empty_grid_is_bad_input(self, capsys, kind, grid):
+        # Decision: a grid without points is bad input, not a header-only CSV.
+        code, out, err = run_cli(capsys, ["sweep", "--kind", kind, "--t", "5", "--grid", grid])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("kind", ["moments", "variance"])
     def test_negative_time_is_bad_input(self, capsys, kind):
@@ -383,6 +430,28 @@ class TestExitCodes:
         )
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--hadamard", "--t", str(MAX_CURVE_POINTS + 1), "--all-times"],
+        ["sweep", "--kind", "variance", "--t", str(MAX_CURVE_POINTS // 100), "--grid", "101"],
+    ])
+    def test_all_times_ceiling(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_out_of_memory_is_a_resource_error(self, capsys, monkeypatch):
+        import qwalk1d.cli as cli
+
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "moment_curves", exhausted)
+        code, out, err = run_cli(capsys, ["moments", "--hadamard", "--t", "5", "--all-times"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_non_finite_phase(self, capsys):
         code, out, err = run_cli(capsys, ["evolve", "--hadamard", "--t", "3", "--k", "nan"])

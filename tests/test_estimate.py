@@ -151,6 +151,25 @@ class TestInnerFit:
             rss = float(np.sum((probs - model) ** 2))
             assert rss >= best - 1e-15
 
+    def test_collinear_bases_take_the_boundary_refit(self):
+        # At t = 2 the two bases live on x = +-2 only, collinear for every
+        # |a|. Here both normal-equation numerators cancel to 0 at |a| = 0.993;
+        # a closed-form solve there gave (0, 0) and residual 0.49 against
+        # ~3e-4 at |a| = 0.9925 and 0.9935.
+        counts = np.array([0.70749, 0.00338, 2.1e-13, 0.00651, 2.28e-5])
+        hist = EmpiricalHistogram(t=2, counts=counts)
+        nu, alpha, best = fit_symmetry_params(hist, 0.993, weighting="poisson")
+        assert validate_effective(nu, alpha, 0.993)
+        neighbours = [fit_symmetry_params(hist, a, "poisson")[2] for a in (0.9925, 0.9935)]
+        assert best <= max(neighbours)
+        rng = np.random.default_rng(2)
+        probs = hist.probabilities()
+        for _ in range(200):
+            nu = float(rng.uniform(-0.5, 0.5))
+            alpha = float(rng.uniform(-1, 1)) * max_alpha(0.993, nu)
+            model = total_density(WalkSpec.from_symmetry(0.993, nu, alpha), 2).rho
+            assert float(np.sum((probs - model) ** 2)) >= best - 1e-15
+
 
 class TestOuterFit:
     def test_noiseless_round_trip(self):

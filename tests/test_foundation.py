@@ -1,6 +1,5 @@
 """Chebyshev evaluation, foundation tables, and the exact coefficient rows."""
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -14,7 +13,6 @@ from qwalk1d import (
     chebyshev_u,
     foundation_polynomial,
     foundation_table,
-    iter_lattice_rows,
     lattice_rows,
     polynomial_row_recursion,
     polynomial_table,
@@ -25,7 +23,6 @@ from qwalk1d.foundation import (
     PolynomialRow,
     _fourier_rows,
     lattice_row_batch,
-    row_blocks,
     rows_for,
 )
 
@@ -314,8 +311,6 @@ class TestLatticeRows:
         with pytest.raises(ValueError) as kernel_error:
             lattice_rows(abs_a, 3)
         assert str(kernel_error.value) == str(table_error.value)
-        with pytest.raises(ValueError):
-            next(iter_lattice_rows(abs_a, 3))
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -339,36 +334,3 @@ class TestLatticeRows:
         for abs_a in (math.nan, -0.1, 1.1):
             with pytest.raises(ValueError):
                 lattice_row_batch(np.array([0.5, abs_a]), 3)
-
-    def test_stream_is_bit_identical_to_table(self):
-        t_max = 300  # many blocks of rows
-        for abs_a in (0.0, 0.3, 0.63, INV_SQRT2, 1.0):
-            table = foundation_table(abs_a, t_max)
-            times = []
-            for rows in iter_lattice_rows(abs_a, t_max):
-                times.append(rows.t_max)
-                for s in (rows.t_max - 2, rows.t_max - 1, rows.t_max):
-                    assert rows.row(s).tobytes() == table.row(s).tobytes()
-            assert times == list(range(1, t_max + 1))
-
-    def test_batched_blocks_are_bit_identical_to_table(self):
-        coins = np.array([0.0, 0.3, 0.63, INV_SQRT2, 1.0, 0.999, 0.05, 0.5, 0.25, 0.9, 0.77])
-        t_max = 150  # width 303: all 11 coins in one chunk of many blocks
-        tables = [foundation_table(abs_a, t_max) for abs_a in coins]
-        seen = np.zeros((t_max + 2, len(coins)), dtype=bool)
-        for cols, first, values in row_blocks(coins, t_max):
-            for i, rows in enumerate(values):
-                for k, row in zip(range(len(coins))[cols], rows, strict=True):
-                    assert row.tobytes() == tables[k].row(first + i - 2).tobytes()
-                    seen[first + i - 1, k] = True
-        assert seen.all()
-
-    def test_blocks_chunk_the_coin_axis(self):
-        t_max = 2000
-        width = 2 * t_max + 3
-        blocks = row_blocks(np.linspace(0.0, 1.0, 7), t_max)
-        for cols, _, values in itertools.islice(blocks, 50):
-            assert values.size <= max(1 << 14, 3 * width)
-            assert cols.stop - cols.start == 1
-        with pytest.raises(ValueError):
-            next(row_blocks(np.array([0.5, 1.5]), 3))

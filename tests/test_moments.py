@@ -9,11 +9,11 @@ import pytest
 
 from qwalk1d import (
     InfeasibleParamsError,
+    ResourceLimitError,
     WalkSpec,
     derive_effective,
     first_moment,
     first_moment_exact,
-    iter_lattice_rows,
     max_alpha,
     moment_curves,
     moment_from_density,
@@ -28,6 +28,8 @@ from qwalk1d import (
     total_density,
     variance,
 )
+from qwalk1d.foundation import foundation_polynomial
+from qwalk1d.moments import MAX_CURVE_POINTS, _cumulative_sums, _legendre_jacobi
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -207,11 +209,16 @@ class TestMomentReport:
 
 
 def assert_curves_close(mean, second, mean_ref, second_ref):
-    # The block sums add in another order than the per-t ones: allow
-    # |d mean| <= 1e-12 t and |d second| <= 1e-12 t^2 (worst seen ~2e-16 t).
+    # The closed forms sum in another order than the per-t lattice sums:
+    # allow |d mean| <= 1e-12 t and |d second| <= 1e-12 t^2 (worst seen ~1e-13).
     t = np.arange(1, len(mean) + 1, dtype=float).reshape((-1,) + (1,) * (np.ndim(mean) - 1))
     assert np.all(np.abs(mean - mean_ref) <= 1e-12 * t)
     assert np.all(np.abs(second - second_ref) <= 1e-12 * t**2)
+
+
+def report_curves(eff, t_max):
+    reports = [moment_report(eff, t) for t in range(1, t_max + 1)]
+    return [r.mean for r in reports], [r.second for r in reports]
 
 
 class TestMomentCurves:
@@ -222,12 +229,21 @@ class TestMomentCurves:
             nu = float(rng.uniform(-0.5, 0.5))
             alpha = float(rng.uniform(-1.0, 1.0)) * max_alpha(abs_a, nu)
             eff = derive_effective(WalkSpec.from_symmetry(abs_a, nu, alpha))
-            reports = [moment_report(eff, rows.t_max, table=rows)
-                       for rows in iter_lattice_rows(eff.abs_a, t_max)]
             mean, second = moment_curves(eff.abs_a, eff.nu, eff.alpha, t_max)
             assert mean.shape == second.shape == (t_max,)
-            assert_curves_close(mean, second, [r.mean for r in reports],
-                                [r.second for r in reports])
+            assert_curves_close(mean, second, *report_curves(eff, t_max))
+
+    @pytest.mark.parametrize("abs_a", [0.0, 1e-9, 0.4999, 0.5, 1.0 - 1e-8, 1.0])
+    def test_both_alpha_branches_match_reports(self, abs_a):
+        # alpha at its maximum weighs the alpha coefficient most: the Jacobi
+        # form below |a| = 1/2, the Legendre form from 1/2 on.
+        nu, t_max = -0.2, 1000
+        eff = derive_effective(WalkSpec.from_symmetry(abs_a, nu, max_alpha(abs_a, nu)))
+        mean, second = moment_curves(eff.abs_a, eff.nu, eff.alpha, t_max)
+        assert_curves_close(mean, second, *report_curves(eff, t_max))
+        # a smaller coin reaches the same alpha, so the two share one batch
+        batch = moment_curves(np.array([eff.abs_a, 0.5 * eff.abs_a]), eff.nu, eff.alpha, t_max)
+        assert np.array_equal(batch[0][:, 0], mean) and np.array_equal(batch[1][:, 0], second)
 
     def test_batched_coins_match_scalar_calls(self):
         grid = np.linspace(0.0, 1.0, 11)
@@ -268,6 +284,41 @@ class TestMomentCurves:
         assert peak - mean.nbytes - second.nbytes < 1_000_000
 
 
+class TestCurveIdentities:
+    @pytest.mark.parametrize("abs_a", [Fraction(0), Fraction(1, 3), Fraction(5, 7),
+                                       Fraction(99, 100), Fraction(1)])
+    def test_exact_at_rational_coins(self, abs_a):
+        # The helpers of moment_curves, run on Fractions: every identity of
+        # the moments docstring holds exactly for t <= 40.
+        t_max = 40
+        leg, jac = [None] * t_max, [None] * t_max
+        _legendre_jacobi(2 * abs_a * abs_a - 1, leg, jac)
+        for k in range(t_max // 2):
+            assert leg[k] == foundation_polynomial(2 * k, 0).evaluate(abs_a)
+            assert abs_a * jac[k] == foundation_polynomial(2 * k + 1, 1).evaluate(abs_a)
+        lam, d, e, c = _cumulative_sums(np.array(leg, dtype=object), np.array(jac, dtype=object))
+        b2 = 1 - abs_a * abs_a
+        for t in range(1, t_max + 1):
+            s_mi = first_moment_exact(abs_a, Fraction(0), Fraction(1), t) / 2
+            s_sq = 2 * abs_a * s_mi - first_moment_exact(abs_a, Fraction(1), Fraction(0), t) / 2
+            assert second_moment_exact(abs_a, t) == t * t - 4 * b2 * e[t - 1]
+            assert s_sq == lam[t - 1]
+            assert s_mi == abs_a * (d[t - 1] - c[t - 1])
+            assert 2 * abs_a * s_mi == t + lam[t - 1] - 2 * b2 * d[t - 1]
+
+    def test_resource_ceiling_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                moment_curves(np.linspace(0.0, 1.0, 101), 0.0, 0.0, MAX_CURVE_POINTS // 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        with pytest.raises(InfeasibleParamsError):  # validation comes first
+            moment_curves(np.array([0.5, 1.5]), 0.0, 0.0, MAX_CURVE_POINTS)
+
+
 class TestLargeTimeEnvelope:
     @pytest.mark.parametrize("abs_a", [0.3, INV_SQRT2, 0.9])
     def test_mass_positivity_and_long_time_law(self, abs_a):
@@ -284,3 +335,20 @@ class TestLargeTimeEnvelope:
         assert float(np.min(rho)) >= -1e-12
         law = 1.0 - math.sqrt(1.0 - abs_a**2)
         assert abs(second_moment(abs_a, t) / t**2 - law) <= 1e-9
+
+    @pytest.mark.parametrize("abs_a", [0.3, INV_SQRT2, 0.9])
+    def test_curves_at_large_time(self, abs_a):
+        # Three times up to 10^5 against the per-t FFT reports, and both large-t
+        # laws: <x>/t -> (2 nu + alpha/|a|)(1 - b) (Konno, J. Math. Soc. Japan
+        # 57 (2005) 1179) with a gap below 0.2/t here, and <x^2>/t^2 -> 1 - b.
+        t_max, nu = 100_000, 0.2
+        eff = derive_effective(WalkSpec.from_symmetry(abs_a, nu, 0.5 * max_alpha(abs_a, nu)))
+        mean, second = moment_curves(eff.abs_a, eff.nu, eff.alpha, t_max)
+        for t in (1_000, 54_321, t_max):
+            rep = moment_report(eff, t)
+            assert abs(mean[t - 1] - rep.mean) <= 1e-12 * t
+            assert abs(second[t - 1] - rep.second) <= 1e-12 * t**2
+        b = math.sqrt(1.0 - eff.abs_a**2)
+        law = (2.0 * eff.nu + eff.alpha / eff.abs_a) * (1.0 - b)
+        assert abs(mean[-1] / t_max - law) <= 1.0 / t_max
+        assert abs(second[-1] / t_max**2 - (1.0 - b)) <= 1.0 / t_max**2
