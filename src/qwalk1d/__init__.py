@@ -28,7 +28,6 @@ from .direct import (
 )
 from .foundation import (
     FoundationTable,
-    LatticeRows,
     PolynomialRow,
     chebyshev_u,
     foundation_polynomial,
@@ -67,7 +66,6 @@ from .moments import (
     odd_moment,
     second_moment,
     second_moment_exact,
-    second_moment_profile_check,
     variance,
 )
 from .estimate import (
@@ -92,7 +90,6 @@ __all__ = [
     "FoundationTable",
     "InfeasibleParamsError",
     "LatticeIndex",
-    "LatticeRows",
     "MomentReport",
     "MomentumWavefunction",
     "NormalizationError",
@@ -136,7 +133,6 @@ __all__ = [
     "run_verification",
     "second_moment",
     "second_moment_exact",
-    "second_moment_profile_check",
     "shifted_foundation",
     "step",
     "total_density",

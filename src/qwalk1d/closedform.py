@@ -7,9 +7,9 @@ to a two-term Chebyshev combination instead of a matrix product chain:
     y = |a| cos(p - d),  d = arg a.
 
 Inverse Fourier transforming term by term turns this into position-space
-amplitudes built from the lattice rows u_t and u_{t-1} (by default the
-FFT window of ``foundation.lattice_rows``), with every x- and
-t-dependent phase collected in the single prefactor e^{i(x d + t k)}.
+amplitudes built from the lattice rows u_t and u_{t-1} (the FFT window
+of ``foundation.lattice_rows``), with every x- and t-dependent phase
+collected in the single prefactor e^{i(x d + t k)}.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direct import MomentumWavefunction, WaveField
-from .foundation import FoundationTable, chebyshev_u, rows_for
-from .params import AliasingError, WalkSpec, derive_effective
+from .direct import MomentumWavefunction, WaveField, _momentum_grid
+from .foundation import _row_views, chebyshev_u, lattice_rows
+from .params import WalkSpec, derive_effective
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,7 @@ def momentum_wavefunction(
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     spec.validate()
-    if grid_size is None:
-        grid_size = 2 * t + 2
-    if grid_size < 2 * t + 1:
-        raise AliasingError(
-            f"grid_size = {grid_size} aliases a walk of support width "
-            f"{2 * t + 1}; need grid_size >= 2 t + 1"
-        )
-    p = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    p = _momentum_grid(t, grid_size)
     d = cmath.phase(spec.a)
     y = abs(spec.a) * np.cos(p - d)
     u_t = chebyshev_u(t, y)
@@ -109,33 +102,32 @@ def momentum_wavefunction(
     return MomentumWavefunction(t=t, grid=p, phi0=phi0, phi1=phi1)
 
 
-def shifted_foundation(table: FoundationTable, t: int, x: np.ndarray) -> np.ndarray:
-    """f_t(|a| : x) = u_t(|a| : x) - |a| u_{t-1}(|a| : x + 1) on sites ``x``."""
-    return table.row_on(t, x) - table.abs_a * table.row_on(t - 1, x, shift=1)
+def shifted_foundation(abs_a: float, rows: np.ndarray) -> np.ndarray:
+    """f_t(|a| : x) = u_t(|a| : x) - |a| u_{t-1}(|a| : x + 1) over [-t, t].
+
+    ``rows`` is the window of ``lattice_rows(abs_a, t)``.
+    """
+    _, _, u_t, _, u_right = _row_views(rows)
+    return u_t - abs_a * u_right
 
 
-def position_wavefunction(
-    spec: WalkSpec, t: int, table: FoundationTable | None = None
-) -> WaveField:
+def position_wavefunction(spec: WalkSpec, t: int) -> WaveField:
     """psi(x, t) over the window [-t, t], assembled from foundation rows.
 
     psi0(x) = e^{i(xd + tk)} [ c0 f_t(x) + beta c1 u_{t-1}(x - 1) ]
     psi1(x) = e^{i(xd + tk)} [ c1 f_t(-x) - conj(beta) c0 u_{t-1}(-x - 1) ]
 
-    where beta = b e^{-i d} strips the coin phase out of b. The rows come
-    from ``rows_for``: the O(t log t) FFT window, or a prebuilt table or
-    window passed as ``table``.
+    where beta = b e^{-i d} strips the coin phase out of b. The rows are
+    the O(t log t) FFT window of ``lattice_rows``.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     eff = derive_effective(spec)
-    table = rows_for(eff.abs_a, t, table)
+    rows = lattice_rows(eff.abs_a, t)
     x = np.arange(-t, t + 1)
-    f_pos = shifted_foundation(table, t, x)
-    f_neg = f_pos[::-1].copy()
-    u_left = table.row_on(t - 1, x, shift=-1)
-    u_right_neg = table.row_on(t - 1, -x, shift=-1)
+    f_pos = shifted_foundation(eff.abs_a, rows)
+    u_left = _row_views(rows)[3]
     phase = np.exp(1j * (x * eff.d + t * spec.k))
     psi0 = phase * (spec.c0 * f_pos + eff.beta * spec.c1 * u_left)
-    psi1 = phase * (spec.c1 * f_neg - eff.beta.conjugate() * spec.c0 * u_right_neg)
+    psi1 = phase * (spec.c1 * f_pos[::-1] - eff.beta.conjugate() * spec.c0 * u_left[::-1])
     return WaveField(t=t, psi0=psi0, psi1=psi1)

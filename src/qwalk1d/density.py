@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .foundation import FoundationTable, lattice_rows, rows_for
+from .closedform import shifted_foundation
+from .foundation import _row_views, lattice_rows
 from .params import (
     EffectiveParams,
     InfeasibleParamsError,
@@ -60,17 +61,16 @@ class DensityProfile:
 
 
 def _component_arrays(
-    abs_a: float, nu: float, alpha: float, t: int, table: FoundationTable
+    abs_a: float, nu: float, alpha: float, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(rho0, rho1) over [-t, t] from the effective parameters alone.
+    """(rho0, rho1) over [-t, t] from the effective parameters and the rows at t.
 
     rho0(x) = (1/2 + nu) f_t^2(x) + (1 - |a|^2)(1/2 - nu) u_{t-1}^2(x-1)
               + alpha f_t(x) u_{t-1}(x-1)
     and rho1 is the mirror image with nu and the cross sign flipped.
     """
-    x = np.arange(-t, t + 1)
-    f = table.row_on(t, x) - abs_a * table.row_on(t - 1, x, shift=1)
-    u_left = table.row_on(t - 1, x, shift=-1)
+    f = shifted_foundation(abs_a, rows)
+    u_left = _row_views(rows)[3]
     b_sq = 1.0 - abs_a * abs_a
     rho0 = (0.5 + nu) * f**2 + b_sq * (0.5 - nu) * u_left**2 + alpha * f * u_left
     rho1 = ((0.5 - nu) * f**2 + b_sq * (0.5 + nu) * u_left**2 - alpha * f * u_left)[::-1]
@@ -87,39 +87,33 @@ def component_densities(spec: WalkSpec, t: int) -> tuple[np.ndarray, np.ndarray]
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     eff = derive_effective(spec)
-    return _component_arrays(eff.abs_a, eff.nu, eff.alpha, t, lattice_rows(eff.abs_a, t))
+    return _component_arrays(eff.abs_a, eff.nu, eff.alpha, lattice_rows(eff.abs_a, t))
 
 
 def density_shapes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rho_even, rho_sq, rho_mi) over [-t, t] from rows u_{t-2}, u_{t-1}, u_t.
 
-    ``rows`` holds those three rows first and the sites x in [-(t+1), t+1]
-    last, as ``FoundationTable.window`` and ``lattice_row_batch`` lay them
-    out; any axes between, such as one per |a|, carry through.
+    ``rows`` is laid out as ``lattice_rows`` returns it, optionally with
+    one axis per |a| in the middle, as from ``lattice_row_batch``.
     """
-    u_prev, u_t = rows[0, ..., 1:-1], rows[2, ..., 1:-1]
-    u_left, u_right = rows[1, ..., :-2], rows[1, ..., 2:]
+    u_prev, _, u_t, u_left, u_right = _row_views(rows)
     # u_{t-2} is the u_{-1} zero row at t = 1
     rho_even = 0.5 * (u_left**2 + u_right**2) - u_t * u_prev
     return rho_even, u_left**2 - u_right**2, u_t * (u_left - u_right)
 
 
-def even_density(
-    abs_a: float, t: int, table: FoundationTable | None = None
-) -> np.ndarray:
+def even_density(abs_a: float, t: int) -> np.ndarray:
     """The |a|-only even part of the density, over x in [-t, t]."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    return density_shapes(rows_for(abs_a, t, table).window(t))[0]
+    return density_shapes(lattice_rows(abs_a, t))[0]
 
 
-def odd_components(
-    abs_a: float, t: int, table: FoundationTable | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def odd_components(abs_a: float, t: int) -> tuple[np.ndarray, np.ndarray]:
     """The two odd basis shapes (rho_sq, rho_mi) over x in [-t, t]."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    return density_shapes(rows_for(abs_a, t, table).window(t))[1:]
+    return density_shapes(lattice_rows(abs_a, t))[1:]
 
 
 def odd_coefficients(
@@ -141,7 +135,6 @@ def total_density(
     effective: EffectiveParams | WalkSpec,
     t: int,
     paper_signs: bool = False,
-    table: FoundationTable | None = None,
 ) -> DensityProfile:
     """Full profile with all decomposition pieces, over x in [-t, t].
 
@@ -167,9 +160,9 @@ def total_density(
             rho=one, rho0=np.array([0.5 + nu]), rho1=np.array([0.5 - nu]),
             rho_even=one.copy(), rho_odd=zero, rho_mi=zero.copy(), rho_sq=zero.copy(),
         )
-    table = rows_for(abs_a, t, table)
-    rho0, rho1 = _component_arrays(abs_a, nu, alpha, t, table)
-    rho_even, rho_sq, rho_mi = density_shapes(table.window(t))
+    rows = lattice_rows(abs_a, t)
+    rho0, rho1 = _component_arrays(abs_a, nu, alpha, rows)
+    rho_even, rho_sq, rho_mi = density_shapes(rows)
     c_sq, c_mi = odd_coefficients(abs_a, nu, alpha, paper_signs)
     rho_odd = c_sq * rho_sq + c_mi * rho_mi
     return DensityProfile(

@@ -123,6 +123,18 @@ class MomentumWavefunction:
         return kernel @ self.phi0 / n, kernel @ self.phi1 / n
 
 
+def _momentum_grid(t: int, grid_size: int | None) -> np.ndarray:
+    """Momentum grid p_j = 2 pi j / n, n = ``grid_size`` (default 2t + 2), n >= 2t + 1."""
+    if grid_size is None:
+        grid_size = 2 * t + 2
+    if grid_size < 2 * t + 1:
+        raise AliasingError(
+            f"grid_size = {grid_size} aliases a walk of support width "
+            f"{2 * t + 1}; need grid_size >= 2 t + 1"
+        )
+    return 2.0 * np.pi * np.arange(grid_size) / grid_size
+
+
 def step_matrix(spec: WalkSpec, p: np.ndarray) -> np.ndarray:
     """One-step momentum-space matrices S(p), shape (len(p), 2, 2).
 
@@ -155,15 +167,8 @@ def evolve_momentum_direct(
             f"momentum evolution to t = {t} exceeds the ceiling {max_t}"
         )
     spec.validate()
-    if grid_size is None:
-        grid_size = 2 * t + 2
-    if grid_size < 2 * t + 1:
-        raise AliasingError(
-            f"grid_size = {grid_size} aliases a walk of support width "
-            f"{2 * t + 1}; need grid_size >= 2 t + 1"
-        )
-    grid = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    phi = np.empty((grid_size, 2), dtype=complex)
+    grid = _momentum_grid(t, grid_size)
+    phi = np.empty((len(grid), 2), dtype=complex)
     phi[:, 0] = spec.c0
     phi[:, 1] = spec.c1
     s = step_matrix(spec, grid)

@@ -12,10 +12,10 @@ with integer coefficients.
 
 Every closed form needs at most the three rows u_{t-2}, u_{t-1}, u_t at
 one time t. ``lattice_rows`` computes them in O(t log t) time and O(t)
-memory by sampling U_t(|a| cos p) and inverting with one real FFT; it
-is the default route, handed out by ``rows_for``. ``lattice_row_batch``
-gives the same rows for many |a| at one t from one FFT over an |a|
-column, for the fit's grid of coins. Three independent routes check the
+memory by one real FFT, as one read-only (3, 2t + 3) array that every
+formula reads through ``_row_views``. ``lattice_row_batch`` gives the
+same rows for many |a| at one t from one FFT over an |a| column, for
+the fit's grid of coins. Three independent routes check the
 kernel: the full O(t^2) table recursion (float), the explicit integer
 power series, and direct quadrature.
 
@@ -84,7 +84,6 @@ class FoundationTable:
     once built.
     """
 
-    abs_a: float
     t_max: int
     values: np.ndarray
 
@@ -98,44 +97,10 @@ class FoundationTable:
             raise ValueError(f"row {s} not in table (t_max = {self.t_max})")
         return self.values[s + 1]
 
-    def value(self, s: int, x: int) -> float:
-        """u_s(|a| : x); sites beyond the window are exact zeros."""
-        i = x + self.half
-        if i < 0 or i >= self.values.shape[1]:
-            return 0.0
-        return float(self.row(s)[i])
-
-    def row_on(self, s: int, x: np.ndarray, shift: int = 0) -> np.ndarray:
-        """Row s sampled at sites ``x + shift`` (vectorized gather)."""
-        idx = np.asarray(x, dtype=int) + shift + self.half
-        if idx.size and (idx.min() < 0 or idx.max() >= self.values.shape[1]):
-            raise ValueError("requested sites fall outside the padded window")
-        return self.row(s)[idx]
-
-    def covers(self, t: int) -> bool:
-        """True if every row a closed form at time t reads is in the table."""
-        return 0 <= t <= self.t_max
-
     def window(self, t: int) -> np.ndarray:
         """Rows u_{t-2}, u_{t-1}, u_t on [-(t+1), t+1], shape (3, 2t + 3)."""
         h = self.half
         return np.stack([self.row(s)[h - t - 1 : h + t + 2] for s in (t - 2, t - 1, t)])
-
-
-class LatticeRows(FoundationTable):
-    """Rows u_{t-2}, u_{t-1}, u_t at the single time t = ``t_max``.
-
-    ``values[s - t + 2]`` holds row s over x in [-half, half], half >= t + 1.
-    """
-
-    def row(self, s: int) -> np.ndarray:
-        i = s - self.t_max + 2
-        if not 0 <= i <= 2:
-            raise ValueError(f"row {s} not in the window at t = {self.t_max}")
-        return self.values[i]
-
-    def covers(self, t: int) -> bool:
-        return t == self.t_max
 
 
 def _recursion_step(out: np.ndarray, mid: np.ndarray, other: np.ndarray, abs_a) -> None:
@@ -205,8 +170,10 @@ def lattice_row_batch(abs_a, t: int) -> np.ndarray:
     return values
 
 
-def lattice_rows(abs_a: float, t: int) -> LatticeRows:
+def lattice_rows(abs_a: float, t: int) -> np.ndarray:
     """u_{t-2}, u_{t-1}, u_t on [-(t+1), t+1] in O(t log t) time, O(t) memory.
+
+    Read-only, shape (3, 2t + 3): row i is u_{t-2+i}, column j is x = j - t - 1.
 
     u_t and u_{t-1} come from ``_fourier_rows`` (a few 1e-14 absolute at
     t = 4000), zeroed off their support; u_{t-2} from one recursion step,
@@ -218,16 +185,14 @@ def lattice_rows(abs_a: float, t: int) -> LatticeRows:
     """
     values = lattice_row_batch(abs_a, t)[:, 0]
     values.flags.writeable = False
-    return LatticeRows(abs_a=float(abs_a), t_max=t, values=values)
+    return values
 
 
-def rows_for(abs_a: float, t: int, table: FoundationTable | None = None) -> FoundationTable:
-    """The rows at (|a|, t): ``table`` once checked to cover them, else the kernel."""
-    if table is None:
-        return lattice_rows(abs_a, t)
-    if abs(table.abs_a - abs_a) > 1e-15 or not table.covers(t):
-        raise ValueError(f"prebuilt rows do not cover |a| = {abs_a}, t = {t}")
-    return table
+def _row_views(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(u_{t-2}, u_{t-1}, u_t, u_{t-1}(x - 1), u_{t-1}(x + 1)) on [-t, t], as views of
+    rows laid out as ``lattice_rows`` returns them; middle axes (one per |a|) carry through."""
+    return (rows[0, ..., 1:-1], rows[1, ..., 1:-1], rows[2, ..., 1:-1],
+            rows[1, ..., :-2], rows[1, ..., 2:])
 
 
 def foundation_table(abs_a: float, t_max: int, pad: int = 1) -> FoundationTable:
@@ -249,7 +214,7 @@ def foundation_table(abs_a: float, t_max: int, pad: int = 1) -> FoundationTable:
     for s in range(1, t_max + 1):
         _recursion_step(values[s + 1], values[s], values[s - 1], abs_a)
     values.flags.writeable = False
-    return FoundationTable(abs_a=float(abs_a), t_max=t_max, values=values)
+    return FoundationTable(t_max=t_max, values=values)
 
 
 @dataclass(frozen=True)

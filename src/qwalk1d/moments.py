@@ -11,10 +11,11 @@ with S[.] a lattice sum and
     S_mi = sum_j P^t_{t-2j} P^{t-1}_{t-2j-1} (t-2j)^{2n+1}
     S_sq = sum_j [P^{t-1}_{t-2j-1}]^2 (t-2j)^{2n+1}.
 
-Per-t float paths read the three rows u_{t-2}, u_{t-1}, u_t from
-``foundation.rows_for``: the O(t log t) FFT window unless a prebuilt
-table or window is passed. An exact path (Fraction arithmetic over
-integer coefficient rows) backs the identity tests at small t.
+Per-t float paths read the three rows u_{t-2}, u_{t-1}, u_t from the
+O(t log t) FFT window of ``foundation.lattice_rows``. The exact path
+(the ``*_exact`` functions) runs the same sums over the same window
+built in Fraction arithmetic from the integer coefficient rows at a
+rational |a|; it backs the identity tests at small t.
 
 ``moment_curves`` gives <x> and <x^2> at every t <= T in O(T) per coin
 from two three-term recurrences and cumulative sums, with no lattice
@@ -48,7 +49,7 @@ from fractions import Fraction
 import numpy as np
 
 from .density import DensityProfile
-from .foundation import ROW_BLOCK, FoundationTable, polynomial_table, rows_for
+from .foundation import ROW_BLOCK, _row_views, lattice_rows, polynomial_table
 from .params import (
     EffectiveParams,
     InfeasibleParamsError,
@@ -85,31 +86,65 @@ def moment_from_density(profile: DensityProfile, n: int) -> float:
     return float(np.sum(x**n * profile.rho))
 
 
-def _sum_rows(table: FoundationTable, t: int, weight_power: int):
-    """(S[x^p u_{t-1}^2], S[x^p u_t u_{t-2}]) for p = weight_power."""
-    x = np.arange(-t, t + 1)
-    w = x.astype(float) ** weight_power if weight_power else np.ones_like(x, dtype=float)
-    u_mid = table.row_on(t - 1, x)
-    sq = float(np.sum(w * u_mid**2))
-    cross = float(np.sum(w * table.row_on(t, x) * table.row_on(t - 2, x)))
-    return sq, cross
+def _even_sums(rows: np.ndarray, weight_power: int):
+    """(S[x^p u_{t-1}^2], S[x^p u_t u_{t-2}]) for p = weight_power over a window."""
+    u_prev, u_mid, u_t, _, _ = _row_views(rows)
+    t = len(u_t) // 2
+    w = np.arange(-t, t + 1).astype(rows.dtype) ** weight_power
+    return np.sum(w * u_mid**2), np.sum(w * u_t * u_prev)
 
 
-def normalization_identity(
-    abs_a: float, t: int, table: FoundationTable | None = None
-) -> float:
+def _mass_defect(rows: np.ndarray):
+    """S[u_{t-1}^2] - S[u_t u_{t-2}] - 1, which vanishes identically."""
+    sq, cross = _even_sums(rows, 0)
+    return sq - cross - 1
+
+
+def _second_moment(rows: np.ndarray):
+    """<x^2> = S[x^2 u_{t-1}^2] - S[x^2 u_t u_{t-2}] + S[u_{t-1}^2]."""
+    sq2, cross2 = _even_sums(rows, 2)
+    sq0, _ = _even_sums(rows, 0)
+    return sq2 - cross2 + sq0
+
+
+def _odd_moment(rows: np.ndarray, abs_a, nu, alpha, n: int = 0, paper_signs: bool = False):
+    """<x^{2n+1}> = (4 |a| nu + 2 alpha) S_mi - 2 nu S_sq, or with -2 alpha under
+    ``paper_signs``; in integer coefficients, so exact rows and arguments stay exact."""
+    _, _, u_t, u_left, _ = _row_views(rows)
+    t = len(u_t) // 2
+    w = np.arange(-t, t + 1).astype(rows.dtype) ** (2 * n + 1)
+    s_sq, s_mi = np.sum(w * u_left**2), np.sum(w * u_t * u_left)
+    alpha_sign = -1 if paper_signs else 1
+    return (4 * abs_a * nu + 2 * alpha_sign * alpha) * s_mi - 2 * nu * s_sq
+
+
+def _exact_rows(abs_a: Fraction, t: int) -> np.ndarray:
+    """``lattice_rows`` in exact arithmetic: an object array of u_{t-2}, u_{t-1}, u_t
+    from the integer coefficient rows at a rational |a|, zero off the support."""
+    table = polynomial_table(t)
+    rows = np.zeros((3, 2 * t + 3), dtype=object)
+    for i, s in enumerate((t - 2, t - 1, t)):
+        for row in table[s] if s >= 0 else ():
+            rows[i, t + 1 - row.k] = rows[i, t + 1 + row.k] = row.evaluate(abs_a)
+    return rows
+
+
+def _check_odd(abs_a: float, nu: float, alpha: float, t: int, n: int = 0) -> None:
+    if t < 1:
+        raise ValueError(f"t must be >= 1, got {t}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if not validate_effective(nu, alpha, abs_a):
+        raise InfeasibleParamsError(
+            f"(nu={nu}, alpha={alpha}, abs_a={abs_a}) is not reachable"
+        )
+
+
+def normalization_identity(abs_a: float, t: int) -> float:
     """|S[u_{t-1}^2] - S[u_t u_{t-2}] - 1|, which vanishes identically."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    sq, cross = _sum_rows(rows_for(abs_a, t, table), t, weight_power=0)
-    return abs(sq - cross - 1.0)
-
-
-def _exact_lattice(abs_a: Fraction, t: int):
-    """u(s, x) = u_s(|a| : x) for s <= t, exact at a rational |a|, zero off the support."""
-    rows = polynomial_table(t)
-    return lambda s, x: (rows[s][(s - abs(x)) // 2].evaluate(abs_a)
-                         if 0 <= s and abs(x) <= s and (x - s) % 2 == 0 else 0)
+    return abs(float(_mass_defect(lattice_rows(abs_a, t))))
 
 
 def normalization_identity_exact(abs_a: Fraction, t: int) -> Fraction:
@@ -117,37 +152,21 @@ def normalization_identity_exact(abs_a: Fraction, t: int) -> Fraction:
     coefficient rows at a rational |a| (an exact zero when the identity holds)."""
     if t < 2:
         raise ValueError(f"t must be >= 2, got {t}")
-    u = _exact_lattice(abs_a, t)
-    terms = (u(t - 1, x) ** 2 - u(t, x) * u(t - 2, x) for x in range(-t, t + 1))
-    return sum(terms, Fraction(0)) - 1
+    return Fraction(_mass_defect(_exact_rows(abs_a, t)))
 
 
-def second_moment(abs_a: float, t: int, table: FoundationTable | None = None) -> float:
+def second_moment(abs_a: float, t: int) -> float:
     """<x^2> at time t; a function of |a| alone."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    table = rows_for(abs_a, t, table)
-    sq2, cross2 = _sum_rows(table, t, weight_power=2)
-    sq0, _ = _sum_rows(table, t, weight_power=0)
-    return sq2 - cross2 + sq0
+    return float(_second_moment(lattice_rows(abs_a, t)))
 
 
 def second_moment_exact(abs_a: Fraction, t: int) -> Fraction:
     """<x^2> in exact rational arithmetic (small t identity checks)."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    u = _exact_lattice(abs_a, t)
-    return sum(((x * x + 1) * u(t - 1, x) ** 2 - x * x * u(t, x) * u(t - 2, x)
-                for x in range(-t, t + 1)), Fraction(0))
-
-
-def _odd_sums(table: FoundationTable, t: int, n: int):
-    """(S_sq, S_mi) evaluated on the float lattice rows."""
-    x = np.arange(-t, t + 1)
-    w = x.astype(float) ** (2 * n + 1)
-    u_top = table.row_on(t, x)
-    u_left = table.row_on(t - 1, x, shift=-1)
-    return float(np.sum(w * u_left**2)), float(np.sum(w * u_top * u_left))
+    return Fraction(_second_moment(_exact_rows(abs_a, t)))
 
 
 def odd_moment(
@@ -157,7 +176,6 @@ def odd_moment(
     t: int,
     n: int = 0,
     paper_signs: bool = False,
-    table: FoundationTable | None = None,
 ) -> float:
     """<x^{2n+1}> at time t, linear in (nu, alpha).
 
@@ -166,29 +184,15 @@ def odd_moment(
     Hadamard walk with nu = 0, alpha = 1/sqrt(2) to -1 while the walk
     plainly moves to +1) and exists only for the divergence record.
     """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if not validate_effective(nu, alpha, abs_a):
-        raise InfeasibleParamsError(
-            f"(nu={nu}, alpha={alpha}, abs_a={abs_a}) is not reachable"
-        )
-    s_sq, s_mi = _odd_sums(rows_for(abs_a, t, table), t, n)
-    alpha_sign = -1.0 if paper_signs else 1.0
-    return (4.0 * abs_a * nu + 2.0 * alpha_sign * alpha) * s_mi - 2.0 * nu * s_sq
+    _check_odd(abs_a, nu, alpha, t, n)
+    return float(_odd_moment(lattice_rows(abs_a, t), abs_a, nu, alpha, n, paper_signs))
 
 
 def first_moment(
-    abs_a: float,
-    nu: float,
-    alpha: float,
-    t: int,
-    paper_signs: bool = False,
-    table: FoundationTable | None = None,
+    abs_a: float, nu: float, alpha: float, t: int, paper_signs: bool = False
 ) -> float:
     """<x> at time t (the n = 0 odd moment)."""
-    return odd_moment(abs_a, nu, alpha, t, n=0, paper_signs=paper_signs, table=table)
+    return odd_moment(abs_a, nu, alpha, t, n=0, paper_signs=paper_signs)
 
 
 def first_moment_exact(
@@ -197,34 +201,28 @@ def first_moment_exact(
     """<x> in exact rational arithmetic via the coefficient rows."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    u = _exact_lattice(abs_a, t)
-    s_sq = sum((x * u(t - 1, x - 1) ** 2 for x in range(-t, t + 1)), Fraction(0))
-    s_mi = sum((x * u(t, x) * u(t - 1, x - 1) for x in range(-t, t + 1)), Fraction(0))
-    alpha_sign = -1 if paper_signs else 1
-    return (4 * abs_a * nu + 2 * alpha_sign * alpha) * s_mi - 2 * nu * s_sq
+    return Fraction(_odd_moment(_exact_rows(abs_a, t), abs_a, nu, alpha, 0, paper_signs))
 
 
-def variance(
-    abs_a: float,
-    nu: float,
-    alpha: float,
-    t: int,
-    table: FoundationTable | None = None,
-) -> float:
+def _mean_and_second(abs_a: float, nu: float, alpha: float, t: int) -> tuple[float, float]:
+    """(<x>, <x^2>) at time t from one set of rows, checked like ``first_moment``."""
+    rows = lattice_rows(abs_a, t)
+    _check_odd(abs_a, nu, alpha, t)
+    return float(_odd_moment(rows, abs_a, nu, alpha)), float(_second_moment(rows))
+
+
+def variance(abs_a: float, nu: float, alpha: float, t: int) -> float:
     """Var = <x^2> - <x>^2 at time t."""
-    table = rows_for(abs_a, t, table)
-    mean = first_moment(abs_a, nu, alpha, t, table=table)
-    return second_moment(abs_a, t, table=table) - mean * mean
+    mean, second = _mean_and_second(abs_a, nu, alpha, t)
+    return second - mean * mean
 
 
-def normalized_second(abs_a: float, t: int, table: FoundationTable | None = None) -> float:
+def normalized_second(abs_a: float, t: int) -> float:
     """<x^2> / t^2; equals 1 identically at |a| = 1 (ballistic bound)."""
-    return second_moment(abs_a, t, table=table) / float(t * t)
+    return second_moment(abs_a, t) / float(t * t)
 
 
-def moment_report(
-    effective: EffectiveParams | WalkSpec, t: int, table: FoundationTable | None = None
-) -> MomentReport:
+def moment_report(effective: EffectiveParams | WalkSpec, t: int) -> MomentReport:
     """All headline moments of one walk in a single pass."""
     if isinstance(effective, WalkSpec):
         effective = derive_effective(effective)
@@ -232,9 +230,7 @@ def moment_report(
     if t == 0:
         return MomentReport(t=0, abs_a=abs_a, nu=nu, alpha=alpha,
                             mean=0.0, second=0.0, variance=0.0, normalized_second=0.0)
-    table = rows_for(abs_a, t, table)
-    mean = first_moment(abs_a, nu, alpha, t, table=table)
-    second = second_moment(abs_a, t, table=table)
+    mean, second = _mean_and_second(abs_a, nu, alpha, t)
     return MomentReport(
         t=t, abs_a=abs_a, nu=nu, alpha=alpha,
         mean=mean, second=second,
@@ -301,9 +297,3 @@ def moment_curves(abs_a, nu: float, alpha: float, t_max: int) -> tuple[np.ndarra
         second[:, cols] = t * t - 4.0 * b2 * e
     shape = (t_max,) + np.shape(abs_a)
     return mean.reshape(shape), second.reshape(shape)
-
-
-def second_moment_profile_check(profile: DensityProfile) -> float:
-    """|closed-form <x^2> - sum of x^2 rho| for one profile (diagnostic)."""
-    closed = second_moment(profile.abs_a, profile.t)
-    return abs(closed - moment_from_density(profile, 2))

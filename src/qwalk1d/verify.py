@@ -47,11 +47,6 @@ def random_spec(rng: np.random.Generator) -> WalkSpec:
     )
 
 
-def _time_ladder(t_max: int) -> list[int]:
-    ladder = sorted({t for t in (1, 2, 5, 16, 64, 128) if t <= t_max} | {t_max})
-    return [t for t in ladder if t >= 1]
-
-
 def run_verification(
     t_max: int = DEFAULT_T_MAX,
     n_specs: int = DEFAULT_N_SPECS,
@@ -59,6 +54,8 @@ def run_verification(
     paper_signs: bool = False,
 ) -> dict:
     """Execute the full check battery; returns a JSON-ready report."""
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
     if n_specs < 0:
         raise ValueError(f"n_specs must be >= 0, got {n_specs}")
     started = time.perf_counter()
@@ -67,7 +64,7 @@ def run_verification(
     specs.append(WalkSpec.hadamard())
     specs.append(WalkSpec(a=1.0, b=0.0, c0=1.0, c1=0.0))
     specs.append(WalkSpec(a=0.0, b=1.0, c0=0.6, c1=0.8j))
-    ladder = _time_ladder(t_max)
+    ladder = sorted({t for t in (1, 2, 5, 16, 64, 128) if t <= t_max} | {t_max})
 
     checks: list[dict] = []
 

@@ -1,4 +1,5 @@
-"""Shared test helpers: seeded random walk specs and hypothesis strategies."""
+"""Shared test helpers: seeded random walk specs (``qwalk1d.verify.random_spec``) and
+hypothesis strategies."""
 
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 from hypothesis import HealthCheck, settings, strategies as st
 
 from qwalk1d import WalkSpec
+from qwalk1d.verify import random_spec  # noqa: F401  (re-exported to the test modules)
 
 settings.register_profile(
     "suite",
@@ -14,20 +16,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
-
-
-def random_spec(rng: np.random.Generator) -> WalkSpec:
-    """A uniformly-phased normalized spec; the workhorse of oracle sweeps."""
-    a_abs = math.sqrt(rng.uniform())
-    c0_abs = math.sqrt(rng.uniform())
-    pa, pb, p0, p1, k = rng.uniform(-math.pi, math.pi, size=5)
-    return WalkSpec(
-        a=a_abs * np.exp(1j * pa),
-        b=math.sqrt(1.0 - a_abs**2) * np.exp(1j * pb),
-        k=float(k),
-        c0=c0_abs * np.exp(1j * p0),
-        c1=math.sqrt(1.0 - c0_abs**2) * np.exp(1j * p1),
-    )
 
 
 def spec_strategy():

@@ -20,7 +20,6 @@ from qwalk1d import (
     first_moment,
     fit_walk,
     foundation_polynomial,
-    foundation_table,
     max_alpha,
     normalization_identity,
     odd_moment,
@@ -178,11 +177,10 @@ def test_criterion_5_density_decomposition(capsys):
     for abs_a in (0.25, 0.65, 0.9):
         b = math.sqrt(1.0 - abs_a**2)
         for t in (1, 7, 24):
-            table = foundation_table(abs_a, t)
 
             def rho_of(n, al):
                 eff = EffectiveParams(abs_a, 0.0, b, n, al, 0.0)
-                return total_density(eff, t, table=table).rho
+                return total_density(eff, t).rho
 
             for nu, frac in ((0.4, 0.6), (-0.3, -0.8), (0.15, 0.25)):
                 alpha = frac * max_alpha(abs_a, nu)
@@ -304,17 +302,15 @@ def test_criterion_8_estimation_round_trip(capsys):
 def test_criterion_9_moment_regimes(capsys):
     lo, hi = 0.0, -1.0
     for abs_a in np.linspace(0.0, 0.1, 6):
-        table = foundation_table(float(abs_a), 30)
         for t in range(1, 31):
-            mean = first_moment(float(abs_a), 0.5, 0.0, t, table=table)
+            mean = first_moment(float(abs_a), 0.5, 0.0, t)
             lo = min(lo, mean)
             hi = max(hi, mean)
     slow_ok = -1.01 <= lo and hi <= 0.01
     increasing_ok = True
     min_step = math.inf
     for abs_a in (0.8, 0.85, 0.9, 0.95, 1.0):
-        table = foundation_table(abs_a, 30)
-        means = [first_moment(abs_a, 0.5, 0.0, t, table=table) for t in range(1, 31)]
+        means = [first_moment(abs_a, 0.5, 0.0, t) for t in range(1, 31)]
         steps = np.diff(means)
         min_step = min(min_step, float(steps.min()))
         if not np.all(steps > 0):

@@ -299,11 +299,13 @@ class TestVerify:
         assert rep1 == rep2
 
     def test_negative_spec_count_is_bad_input(self, capsys):
-        # Decision: a negative count is bad input, not "only the fixed specs".
-        code, out, err = run_cli(capsys, ["verify", "--n-specs", "-1"])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+        # Decision: a negative count is bad input, not "only the fixed specs";
+        # so is --tmax 0, whose empty time ladder would compare nothing.
+        for argv in (["verify", "--n-specs", "-1"], ["verify", "--tmax", "0"]):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         import qwalk1d.cli as cli

@@ -172,18 +172,8 @@ class TestPositionWavefunction:
         assert np.max(np.abs(kernel @ field.psi0 - wf.phi0)) < 1e-10
         assert np.max(np.abs(kernel @ field.psi1 - wf.phi1)) < 1e-10
 
-    def test_prebuilt_table_validation(self):
-        spec = WalkSpec.hadamard()
-        short = foundation_table(INV_SQRT2, 3)
-        with pytest.raises(ValueError):
-            position_wavefunction(spec, 10, table=short)
-        wrong = foundation_table(0.5, 10)
-        with pytest.raises(ValueError):
-            position_wavefunction(spec, 5, table=wrong)
-
     def test_shifted_foundation_values(self):
-        table = foundation_table(INV_SQRT2, 3)
-        f = shifted_foundation(table, 1, np.array([-1, 1]))
+        f = shifted_foundation(INV_SQRT2, foundation_table(INV_SQRT2, 3).window(1))
         # f_1(1) = u_1(1) - |a| u_0(2) = |a|; f_1(-1) = |a| - |a| u_0(0) = 0
-        assert abs(f[1] - INV_SQRT2) < 1e-15
+        assert abs(f[2] - INV_SQRT2) < 1e-15
         assert abs(f[0]) < 1e-15

@@ -16,7 +16,6 @@ from qwalk1d import (
     derive_effective,
     even_density,
     evolve_direct,
-    foundation_table,
     max_alpha,
     odd_coefficients,
     odd_components,
@@ -66,40 +65,35 @@ class TestProfileInvariants:
 
 class TestEvenDensity:
     def test_single_step(self):
-        table = foundation_table(INV_SQRT2, 1)
-        rho = even_density(INV_SQRT2, 1, table)
+        rho = even_density(INV_SQRT2, 1)
         assert abs(rho[0] - 0.5) < 1e-15
         assert abs(rho[2] - 0.5) < 1e-15
         assert abs(rho[1]) < 1e-15
 
     def test_unit_mass(self):
         for abs_a in (0.0, 0.3, INV_SQRT2, 0.9, 1.0):
-            table = foundation_table(abs_a, 100)
             for t in (1, 4, 37, 100):
-                assert abs(even_density(abs_a, t, table).sum() - 1.0) < 1e-12
+                assert abs(even_density(abs_a, t).sum() - 1.0) < 1e-12
 
     def test_is_symmetric_initial_condition_density(self):
         # nu = alpha = 0 walks reproduce the even part exactly.
         spec = WalkSpec.from_symmetry(0.6, 0.0, 0.0)
         t = 23
         prof = total_density(spec, t)
-        table = foundation_table(0.6, t)
-        assert np.max(np.abs(prof.rho - even_density(0.6, t, table))) < 1e-12
+        assert np.max(np.abs(prof.rho - even_density(0.6, t))) < 1e-12
 
 
 class TestOddComponents:
     def test_single_step_shapes(self):
-        table = foundation_table(INV_SQRT2, 1)
-        rho_sq, rho_mi = odd_components(INV_SQRT2, 1, table)
+        rho_sq, rho_mi = odd_components(INV_SQRT2, 1)
         expected_sq = np.array([-1.0, 0.0, 1.0])
         expected_mi = np.array([-INV_SQRT2, 0.0, INV_SQRT2])
         assert np.max(np.abs(rho_sq - expected_sq)) < 1e-15
         assert np.max(np.abs(rho_mi - expected_mi)) < 1e-15
 
     def test_zero_sums(self):
-        table = foundation_table(0.44, 30)
         for t in (1, 2, 9, 30):
-            rho_sq, rho_mi = odd_components(0.44, t, table)
+            rho_sq, rho_mi = odd_components(0.44, t)
             assert abs(rho_sq.sum()) < 1e-12
             assert abs(rho_mi.sum()) < 1e-12
 
@@ -146,8 +140,7 @@ class TestFrozenSignConvention:
             nu = 0.5 * nu_frac
             alpha = al_frac * max_alpha(abs_a, nu)
             spec = WalkSpec.from_symmetry(abs_a, nu, alpha)
-            table = foundation_table(abs_a, max(t, 1))
-            rho_sq, rho_mi = odd_components(abs_a, t, table)
+            rho_sq, rho_mi = odd_components(abs_a, t)
             target = self._oracle_odd(spec, t)
             for s_nu, s_cross, s_al in budgets:
                 trial = (
@@ -222,13 +215,10 @@ class TestTotalDensity:
     def test_affine_structure_in_nu_alpha(self, abs_a, nu, frac, t):
         # rho is affine in (nu, alpha): the four-point combination cancels.
         alpha = frac * max_alpha(abs_a, nu)
-        table = foundation_table(abs_a, t)
         b = math.sqrt(1 - abs_a**2)
 
         def rho(n, al):
-            return total_density(
-                EffectiveParams(abs_a, 0.0, b, n, al, 0.0), t, table=table
-            ).rho
+            return total_density(EffectiveParams(abs_a, 0.0, b, n, al, 0.0), t).rho
 
         lhs = rho(nu, alpha) - rho(0.0, alpha) - rho(nu, 0.0) + rho(0.0, 0.0)
         assert np.max(np.abs(lhs)) < 1e-12

@@ -11,16 +11,15 @@ from qwalk1d import (
     UnderdeterminedError,
     WalkSpec,
     fit_symmetry_params,
-    even_density,
     fit_walk,
     foundation_table,
     max_alpha,
-    odd_components,
     second_moment,
     total_density,
     validate_effective,
 )
 from qwalk1d import estimate
+from qwalk1d.density import density_shapes
 from qwalk1d.estimate import (
     _boundary_objective,
     _brent,
@@ -356,9 +355,8 @@ def reference_boundary(r, b_nu, b_al, abs_a, w):
 
 def reference_bases(abs_a, t):
     """(rho_even, b_nu, b_al) on foundation_table rows."""
-    table = foundation_table(abs_a, t)
-    rho_sq, rho_mi = odd_components(abs_a, t, table)
-    return even_density(abs_a, t, table), 2.0 * abs_a * rho_mi - rho_sq, rho_mi
+    rho_even, rho_sq, rho_mi = density_shapes(foundation_table(abs_a, t).window(t))
+    return rho_even, 2.0 * abs_a * rho_mi - rho_sq, rho_mi
 
 
 def reference_inner(p, w, abs_a, bases):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwalk1d import (
-    LatticeRows,
     ResourceLimitError,
     chebyshev_u,
     foundation_polynomial,
@@ -23,10 +22,14 @@ from qwalk1d.foundation import (
     PolynomialRow,
     _fourier_rows,
     lattice_row_batch,
-    rows_for,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def at(table, s: int, x: int) -> float:
+    """u_s(|a| : x) read from a foundation table's padded row."""
+    return float(table.row(s)[x + table.half])
 
 
 class TestChebyshev:
@@ -60,28 +63,28 @@ class TestFoundationTable:
     def test_first_rows(self):
         for abs_a in (0.0, 0.3, INV_SQRT2, 1.0):
             table = foundation_table(abs_a, 2)
-            assert table.value(0, 0) == 1.0
-            assert table.value(-1, 0) == 0.0
-            assert table.value(1, 1) == abs_a
-            assert table.value(1, -1) == abs_a
-            assert abs(table.value(2, 0) - (2 * abs_a**2 - 1)) < 1e-15
-            assert abs(table.value(2, 2) - abs_a**2) < 1e-15
+            assert at(table, 0, 0) == 1.0
+            assert at(table, -1, 0) == 0.0
+            assert at(table, 1, 1) == abs_a
+            assert at(table, 1, -1) == abs_a
+            assert abs(at(table, 2, 0) - (2 * abs_a**2 - 1)) < 1e-15
+            assert abs(at(table, 2, 2) - abs_a**2) < 1e-15
 
     def test_unit_coin_rows_are_flat(self):
         table = foundation_table(1.0, 30)
         for t in (1, 7, 30):
             for x in range(-t, t + 1):
                 expected = 1.0 if (x - t) % 2 == 0 else 0.0
-                assert table.value(t, x) == expected
+                assert at(table, t, x) == expected
 
     def test_zero_coin_rows_alternate(self):
         table = foundation_table(0.0, 12)
         for t in range(13):
             for x in range(-12, 13):
                 if t % 2 == 1 or x != 0:
-                    assert table.value(t, x) == 0.0
+                    assert at(table, t, x) == 0.0
             if t % 2 == 0:
-                assert table.value(t, 0) == (-1.0) ** (t // 2)
+                assert at(table, t, 0) == (-1.0) ** (t // 2)
 
     def test_even_symmetry_and_parity_support(self):
         table = foundation_table(0.62, 25)
@@ -90,7 +93,7 @@ class TestFoundationTable:
             assert np.array_equal(row, row[::-1])
             for x in range(-25, 26):
                 if (x - t) % 2 != 0 or abs(x) > t:
-                    assert table.value(t, x) == 0.0
+                    assert at(table, t, x) == 0.0
 
     def test_rows_are_immutable(self):
         table = foundation_table(0.5, 4)
@@ -105,8 +108,6 @@ class TestFoundationTable:
         table = foundation_table(0.5, 3)
         with pytest.raises(ValueError):
             table.row(5)
-        with pytest.raises(ValueError):
-            table.row_on(2, np.array([10]), shift=0)
 
 
 class TestPolynomialRows:
@@ -154,7 +155,7 @@ class TestPolynomialRows:
             for t in range(51):
                 for k in range(t % 2, t + 1, 2):
                     poly = float(foundation_polynomial(t, k).evaluate(abs_a))
-                    assert abs(poly - table.value(t, k)) < 1e-12
+                    assert abs(poly - at(table, t, k)) < 1e-12
 
 
 class TestRowRecursion:
@@ -210,7 +211,7 @@ class TestQuadrature:
         # and the far off-support sites here exceed that.
         n = 2 * (t + abs(x)) + 2
         table = foundation_table(abs_a, t, pad=max(1, abs(x) - t + 1))
-        assert abs(u_by_quadrature(abs_a, t, x, n_points=n) - table.value(t, x)) < 1e-12
+        assert abs(u_by_quadrature(abs_a, t, x, n_points=n) - at(table, t, x)) < 1e-12
 
 
 def table_tolerance(t: int) -> float:
@@ -227,9 +228,9 @@ def table_tolerance(t: int) -> float:
 def window_deviation(abs_a: float, t: int) -> float:
     rows = lattice_rows(abs_a, t)
     table = foundation_table(abs_a, max(t, 1))
-    x = np.arange(-(t + 1), t + 2)
+    h = table.half
     return max(
-        float(np.max(np.abs(rows.row_on(s, x) - table.row_on(s, x))))
+        float(np.max(np.abs(rows[s - t + 2] - table.row(s)[h - t - 1 : h + t + 2])))
         for s in range(max(t - 2, -1), t + 1)
     )
 
@@ -249,28 +250,24 @@ class TestLatticeRows:
         for abs_a in (0.0, 1.0):
             table = foundation_table(abs_a, 60)
             for t in (1, 2, 3, 4, 59, 60):
-                rows = lattice_rows(abs_a, t)
-                x = np.arange(-(t + 1), t + 2)
-                for s in (t - 2, t - 1, t):
-                    assert np.array_equal(rows.row_on(s, x), table.row_on(s, x))
+                assert np.array_equal(lattice_rows(abs_a, t), table.window(t))
 
     def test_parity_zeros_and_evenness_are_exact(self):
         for abs_a, t in ((0.3, 9), (0.8, 10), (INV_SQRT2, 301)):
             rows = lattice_rows(abs_a, t)
-            x = np.arange(-rows.half, rows.half + 1)
-            for s in (t - 2, t - 1, t):
-                row = rows.row(s)
+            x = np.arange(-(t + 1), t + 2)
+            for s, row in zip((t - 2, t - 1, t), rows):
                 assert np.array_equal(row, row[::-1])
                 assert np.all(row[(x - s) % 2 != 0] == 0.0)
-            for s in (t - 1, t):
-                assert np.all(rows.row(s)[np.abs(x) > s] == 0.0)
+            for s, row in zip((t - 1, t), rows[1:]):
+                assert np.all(row[np.abs(x) > s] == 0.0)
 
     def test_quadrature_and_exact_series(self):
         for abs_a in (0.3, INV_SQRT2, 0.95):
             for t in (3, 40, 121):
                 rows = lattice_rows(abs_a, t)
                 for k in range(t % 2, t + 1, max(2, 2 * (t // 8))):
-                    value = rows.value(t, k)
+                    value = rows[2, t + 1 + k]
                     assert abs(value - u_by_quadrature(abs_a, t, k)) < 1e-13
                     assert abs(value - foundation_polynomial(t, k).evaluate(abs_a)) < 1e-13
 
@@ -279,30 +276,13 @@ class TestLatticeRows:
         abs_a, t = 1 - 1e-11, 1000
         rows = lattice_rows(abs_a, t)
         for k in (0, 250, 998):
-            assert abs(rows.value(t, k) - foundation_polynomial(t, k).evaluate(abs_a)) < 1e-13
+            assert abs(rows[2, t + 1 + k] - foundation_polynomial(t, k).evaluate(abs_a)) < 1e-13
 
     def test_window_interface(self):
         rows = lattice_rows(0.5, 6)
-        assert isinstance(rows, LatticeRows)
-        assert rows.t_max == 6 and rows.half == 7
-        assert rows.covers(6) and not rows.covers(5)
-        for s in (3, 7):
-            with pytest.raises(ValueError):
-                rows.row(s)
+        assert rows.shape == (3, 2 * 7 + 1)
         with pytest.raises(ValueError):
-            rows.row_on(6, np.array([8]))
-        with pytest.raises(ValueError):
-            rows.row(6)[0] = 1.0
-
-    def test_rows_for_validates_prebuilt_rows(self):
-        assert rows_for(0.5, 6).covers(6)
-        table = foundation_table(0.5, 6)
-        window = lattice_rows(0.5, 6)
-        assert rows_for(0.5, 4, table) is table
-        assert rows_for(0.5, 6, window) is window
-        for t, rows in ((7, table), (5, window), (6, lattice_rows(0.6, 6))):
-            with pytest.raises(ValueError):
-                rows_for(0.5, t, rows)
+            rows[2, 0] = 1.0
 
     @pytest.mark.parametrize("abs_a", [math.nan, math.inf, -math.inf, -0.1, 1.1])
     def test_rejects_bad_abs_a_like_the_table(self, abs_a):
@@ -326,7 +306,7 @@ class TestLatticeRows:
         assert batch.shape == (3, len(coins), 2 * t + 3)
         fourier = _fourier_rows(coins[1:-1, None], t)
         for j, abs_a in enumerate(coins.tolist()):
-            assert batch[:, j].tobytes() == lattice_rows(abs_a, t).values.tobytes()
+            assert batch[:, j].tobytes() == lattice_rows(abs_a, t).tobytes()
             if 0 < j < len(coins) - 1:
                 assert fourier[j - 1].tobytes() == _fourier_rows(abs_a, t).tobytes()
 

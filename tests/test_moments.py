@@ -24,7 +24,6 @@ from qwalk1d import (
     odd_moment,
     second_moment,
     second_moment_exact,
-    second_moment_profile_check,
     total_density,
     variance,
 )
@@ -107,10 +106,6 @@ class TestSecondMoment:
             t = int(rng.integers(1, 45))
             prof = total_density(WalkSpec.from_symmetry(abs_a, nu, alpha), t)
             assert abs(second_moment(abs_a, t) - moment_from_density(prof, 2)) < 1e-10
-
-    def test_profile_check_helper(self):
-        prof = total_density(WalkSpec.from_symmetry(0.52, 0.31, -0.1), 20)
-        assert second_moment_profile_check(prof) < 1e-10
 
 
 class TestOddMoments:
