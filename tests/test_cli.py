@@ -6,15 +6,17 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qwalk1d
-from qwalk1d import WalkSpec, max_alpha, normalized_second
+from qwalk1d import WalkSpec, derive_effective, max_alpha, normalized_second
+from qwalk1d import cli
 from qwalk1d.cli import main
-from qwalk1d.moments import MAX_CURVE_POINTS
+from qwalk1d.moments import MAX_CURVE_POINTS, moment_curves
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -289,14 +291,12 @@ class TestFit:
 class TestVerify:
     def test_passes_and_is_deterministic(self, capsys):
         argv = ["verify", "--tmax", "8", "--n-specs", "3", "--seed", "7"]
-        code1, out1, _ = run_cli(capsys, argv)
+        code1, out1, err1 = run_cli(capsys, argv)
         code2, out2, _ = run_cli(capsys, argv)
         assert code1 == code2 == 0
-        rep1, rep2 = json.loads(out1), json.loads(out2)
-        assert rep1["passed"] and rep2["passed"]
-        rep1.pop("elapsed_seconds")
-        rep2.pop("elapsed_seconds")
-        assert rep1 == rep2
+        assert json.loads(out1)["passed"]
+        assert out1 == out2
+        assert err1.startswith("elapsed_seconds: ") and err1.count("\n") == 1
 
     def test_negative_spec_count_is_bad_input(self, capsys):
         # Decision: a negative count is bad input, not "only the fixed specs";
@@ -317,6 +317,76 @@ class TestVerify:
         code, out, _ = run_cli(capsys, ["verify"])
         assert code == 1
         assert json.loads(out)["passed"] is False
+
+
+def fmt(value):
+    """The per-value format the CSV writer must reproduce byte for byte."""
+    return f"{float(value):.17g}"
+
+
+class TestWriter:
+    def test_all_times_above_the_chunk_size(self, capsys):
+        t_max = 2 * cli._CHUNK_ROWS + 3
+        argv = ["moments", "--a-abs", "0.6", "--nu", "0.1", "--alpha", "0.2",
+                "--t", str(t_max), "--all-times"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        eff = derive_effective(WalkSpec.from_symmetry(0.6, 0.1, 0.2))
+        mean, second = moment_curves(eff.abs_a, eff.nu, eff.alpha, t_max)
+        walk = f"{fmt(eff.abs_a)},{fmt(eff.nu)},{fmt(eff.alpha)}"
+        expected = ["t,abs_a,nu,alpha,mean,second,variance,normalized_second"] + [
+            f"{t},{walk},{fmt(m)},{fmt(s)},{fmt(s - m * m)},{fmt(s / float(t * t))}"
+            for t, m, s in zip(range(1, t_max + 1), mean.tolist(), second.tolist())
+        ]
+        assert out == "\n".join(expected) + "\n"
+
+    def test_variance_sweep_rows(self, capsys):
+        t_max, nu = cli._CHUNK_ROWS + 1, 0.3
+        argv = ["sweep", "--kind", "variance", "--t", str(t_max), "--grid", "3",
+                "--nu", str(nu), "--alpha", "0"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        grid = np.linspace(0.0, 1.0, 3)
+        mean, second = moment_curves(grid, nu, 0.0, t_max)
+        t2 = np.arange(1, t_max + 1, dtype=float)[:, None] ** 2
+        curves = (second - mean * mean) / t2
+        expected = ["t,abs_a,nu,alpha,normalized_variance"] + [
+            f"{t},{fmt(a)},{fmt(nu)},{fmt(0.0)},{fmt(v)}"
+            for a, curve in zip(grid, curves.T.tolist()) for t, v in enumerate(curve, start=1)
+        ]
+        assert out == "\n".join(expected) + "\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--a-abs", "0.6", "--t", "5000", "--dense"],
+        ["moments", "--hadamard", "--t", "9000", "--all-times"],
+    ])
+    def test_stdout_file_and_fifo_get_the_same_bytes(self, capsys, tmp_path, argv):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        target, fifo = tmp_path / "out.csv", tmp_path / "pipe"
+        assert run_cli(capsys, argv + ["--output", str(target)])[0] == 0
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run_cli(capsys, argv + ["--output", str(fifo)])[0] == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert out.encode() == target.read_bytes() == received[0]
+
+    def test_all_times_streams_its_rows(self, tmp_path):
+        target = tmp_path / "m.csv"
+        argv = ["moments", "--a-abs", "0.6", "--nu", "0.1", "--alpha", "0.2",
+                "--t", "50000", "--all-times", "--output", str(target)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 * target.stat().st_size
 
 
 class TestSweep:

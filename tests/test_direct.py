@@ -14,7 +14,7 @@ from qwalk1d import (
     evolve_momentum_direct,
     step,
 )
-from qwalk1d.direct import initial_field, step_matrix
+from qwalk1d.direct import MomentumWavefunction, initial_field, step_matrix
 from conftest import random_spec, spec_strategy
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -121,3 +121,19 @@ class TestMomentumDirect:
             psi0, psi1 = mom.to_position(field.positions)
             assert np.max(np.abs(psi0 - field.psi0)) < 1e-12
             assert np.max(np.abs(psi1 - field.psi1)) < 1e-12
+
+    def test_to_position_on_a_large_grid(self):
+        # A dense len(x) x n kernel would need 640 GB here; spot-check sites,
+        # negative ones included, against the explicit sum with exact phases.
+        rng = np.random.default_rng(3)
+        n = 200_000
+        j = np.arange(n)
+        phi0, phi1 = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        mom = MomentumWavefunction(t=n // 2 - 1, grid=2.0 * np.pi * j / n, phi0=phi0, phi1=phi1)
+        x = np.arange(-(n // 2) + 1, n // 2)
+        psi0, psi1 = mom.to_position(x)
+        assert psi0.shape == psi1.shape == x.shape
+        for i in rng.integers(0, len(x), size=5):
+            phase = np.exp(2j * np.pi * ((j * x[i]) % n) / n)
+            assert abs(psi0[i] - np.sum(phi0 * phase) / n) < 1e-12
+            assert abs(psi1[i] - np.sum(phi1 * phase) / n) < 1e-12
